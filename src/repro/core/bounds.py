@@ -55,6 +55,7 @@ __all__ = [
     "CODE_MODES",
     "MODED_MODES",
     "ErrorBound",
+    "finite_range",
     "PW_FLAG_NORMAL",
     "PW_FLAG_ZERO",
     "PW_FLAG_RAW",
@@ -219,6 +220,29 @@ class ErrorBound:
                 "mode='abs') instead"
             )
         return eb
+
+
+def finite_range(data: np.ndarray) -> float:
+    """Finite value range ``max - min`` (0.0 when nothing is finite).
+
+    The subtraction runs in the array dtype, so float32 ranges round
+    exactly as every existing container records them.  Only a float32
+    field whose finite range exceeds FLT_MAX overflows there; that one
+    difference is redone in float64.
+    """
+    data = np.asarray(data)
+    # Fast path: min/max without the isfinite boolean-index copy.  Both
+    # reductions propagate NaN and Inf, so finite extremes prove the
+    # masked computation would pick the same two values.
+    hi, lo = data.max(), data.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        finite = data[np.isfinite(data)]
+        if finite.size == 0:
+            return 0.0
+        hi, lo = finite.max(), finite.min()
+    with np.errstate(over="ignore"):
+        spread = float(hi - lo)
+    return spread if math.isfinite(spread) else float(hi) - float(lo)
 
 
 # ---------------------------------------------------------------------------

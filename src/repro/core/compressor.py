@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.adaptive import DEFAULT_THETA
 from repro.core.bounds import (
     ErrorBound,
+    finite_range,
     psnr_fallback_bound,
     psnr_to_abs_bound,
     pw_apply_repairs,
@@ -203,20 +204,6 @@ class CompressionStats:
         return 8.0 * self.compressed_bytes / max(1, self.n_values)
 
 
-def _value_range(data: np.ndarray) -> float:
-    """Finite value range ``max - min`` (0.0 when nothing is finite)."""
-    # Fast path: min/max without the isfinite boolean-index copy.  A
-    # finite difference proves both extremes finite (inf - inf = nan,
-    # anything involving nan is nan), so the result equals the masked
-    # computation; otherwise fall back to it.  The subtraction stays in
-    # the array dtype — float32 ranges must round exactly as before.
-    spread = float(data.max() - data.min())
-    if spread == spread and abs(spread) != float("inf"):
-        return spread
-    finite = data[np.isfinite(data)]
-    return float(finite.max() - finite.min()) if finite.size else 0.0
-
-
 _BIT_UINTS = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
 
@@ -267,7 +254,6 @@ def _quantize_adaptive(
     interval_bits: int,
     adaptive: bool,
     theta: float,
-    workers: int = 1,
 ) -> tuple[WavefrontResult, int, int]:
     """Wavefront quantization with the adaptive interval-count retry."""
     plan = _get_plan(data.shape, layers, data.dtype)
@@ -276,7 +262,7 @@ def _quantize_adaptive(
     while True:
         attempts += 1
         radius = interval_radius(m)
-        result = wavefront_compress(data, eb, plan, radius, workers=workers)
+        result = wavefront_compress(data, eb, plan, radius)
         if not adaptive or result.hit_rate >= theta or m >= _MAX_INTERVAL_BITS:
             break
         m = min(_MAX_INTERVAL_BITS, m + 2)
@@ -349,10 +335,9 @@ def compress_array(
     Every public entry point — :func:`compress`,
     :func:`compress_with_stats`, :class:`repro.api.Codec`, the tiled
     writers — lands here.  ``config`` is an already-validated
-    :class:`repro.api.SZConfig`.  ``tile_shape`` is ignored by this
-    whole-array path; ``workers > 1`` splits the wavefront loop of large
-    multi-dimensional arrays across a process pool (byte-identical
-    output; see :mod:`repro.core.wavefront_pool`).
+    :class:`repro.api.SZConfig`.  ``tile_shape`` and ``workers`` only
+    steer the tiled writers; this whole-array path ignores them and runs
+    in one process.
 
     With a :class:`repro.obs.Collector` active, the whole run records
     under a ``compress`` span and the run diagnostics feed the metrics
@@ -409,7 +394,7 @@ def _compress_array_impl(
         raise ValueError("empty input not supported")
     spec = config.error_bound
     t0 = time.perf_counter()
-    value_range = _value_range(data)
+    value_range = finite_range(data)
 
     if value_range == 0.0 and np.isfinite(data).all() and _constant_ok(
         data, spec.mode
@@ -445,20 +430,19 @@ def _compress_array_impl(
         assert spec.pw_bound is not None  # from_args invariant for pw_rel
         blob, result, m, attempts, repairs = _compress_pw_rel(
             data, spec.pw_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, value_range, workers=config.workers,
+            block_size, entropy_coder, value_range,
         )
         eb, mode_attempts = pw_log_bound(spec.pw_bound, data.dtype), 1 + repairs
     elif spec.mode == "psnr":
         assert spec.psnr_target is not None  # from_args invariant for psnr
         blob, result, m, attempts, eb, mode_attempts = _compress_psnr(
             data, spec.psnr_target, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, value_range, workers=config.workers,
+            block_size, entropy_coder, value_range,
         )
     else:
         eb = spec.resolve(value_range)
         result, m, attempts = _quantize_adaptive(
-            data, eb, layers, interval_bits, adaptive, theta,
-            workers=config.workers,
+            data, eb, layers, interval_bits, adaptive, theta
         )
         code_hist = np.bincount(result.codes, minlength=2 * interval_radius(m))
         blob = _emit_container(
@@ -573,13 +557,12 @@ def _compress_pw_rel(
     block_size: int,
     entropy_coder: str,
     value_range: float,
-    workers: int = 1,
 ) -> tuple[bytes, WavefrontResult, int, int, int]:
     """Pointwise-relative mode: log-precondition, quantize, verify-repair."""
     eb_log = pw_log_bound(pw_bound, data.dtype)
     logs, flags, signs = pw_precondition(data)
     result, m, attempts = _quantize_adaptive(
-        logs, eb_log, layers, interval_bits, adaptive, theta, workers=workers
+        logs, eb_log, layers, interval_bits, adaptive, theta
     )
     # result.decompressed is the exact float64 log field a decompressor
     # materializes; any value the margin analysis failed to cover is
@@ -606,7 +589,6 @@ def _compress_psnr(
     block_size: int,
     entropy_coder: str,
     value_range: float,
-    workers: int = 1,
 ) -> tuple[bytes, WavefrontResult, int, int, float, int]:
     """PSNR-targeted mode: model-derived bound, verified post-hoc.
 
@@ -631,7 +613,7 @@ def _compress_psnr(
     ]
     for mode_attempts, eb in enumerate(candidates, start=1):
         result, m, attempts = _quantize_adaptive(
-            data, eb, layers, interval_bits, adaptive, theta, workers=workers
+            data, eb, layers, interval_bits, adaptive, theta
         )
         if _psnr_of(data, result.decompressed, value_range) >= target_db:
             break
@@ -735,7 +717,7 @@ def _fill_out(result: np.ndarray, out: Any) -> np.ndarray:
     return dst
 
 
-def decompress(blob: Any, out: Any = None, workers: int = 1) -> np.ndarray:
+def decompress(blob: Any, out: Any = None) -> np.ndarray:
     """Decompress an SZ-1.4 (repro) container back to the full array.
 
     Accepts plain containers, ``lossless_post``-wrapped containers, and
@@ -744,25 +726,20 @@ def decompress(blob: Any, out: Any = None, workers: int = 1) -> np.ndarray:
     ``bytearray``, ``memoryview``, ``mmap``); non-``bytes`` buffers are
     read in place, never copied.  With ``out`` the decoded values are
     written into the caller's buffer and the filled view is returned.
-    ``workers > 1`` splits the wavefront replay of large
-    multi-dimensional arrays across a process pool (byte-identical
-    output; see :mod:`repro.core.wavefront_pool`).
 
     With a :class:`repro.obs.Collector` active the run records under a
     ``decompress`` span; the decoded values are identical either way.
     """
     collector = active_collector()
     if collector is None:
-        return _decompress_impl(blob, out, workers)
+        return _decompress_impl(blob, out)
     with collector.span("decompress", bytes=len(_as_byte_view(blob))):
-        result = _decompress_impl(blob, out, workers)
+        result = _decompress_impl(blob, out)
     collector.add("decompress/calls")
     return result
 
 
-def _decompress_impl(
-    blob: Any, out: Any = None, workers: int = 1
-) -> np.ndarray:
+def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
     blob = _as_byte_view(blob)
     with stage("lossless_unwrap", nbytes=len(blob)):
         blob = unwrap(blob)
@@ -805,8 +782,7 @@ def _decompress_impl(
         plan = _get_plan(header.shape, header.layers, inner_dtype)
         radius = interval_radius(header.interval_bits)
         result = wavefront_decompress(
-            codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype,
-            workers=workers,
+            codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype
         )
         if header.mode == "pw_rel":
             result = pw_postcondition(

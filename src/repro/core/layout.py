@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.bounds import finite_range
 from repro.core.compressor import compress as _compress
 from repro.core.compressor import decompress as _decompress
 from repro.core.wavefront import WavefrontPlan, wavefront_compress
@@ -90,9 +91,7 @@ def compress_sliced(
     if data.ndim < 2:
         raise ValueError("slicing needs at least 2 dimensions")
     if rel_bound is not None:
-        finite = data[np.isfinite(data)]
-        vrange = float(finite.max() - finite.min()) if finite.size else 0.0
-        eb_from_rel = rel_bound * vrange
+        eb_from_rel = rel_bound * finite_range(data)
         abs_bound = (
             min(abs_bound, eb_from_rel) if abs_bound is not None else eb_from_rel
         )

@@ -34,10 +34,10 @@ Kernel-level optimizations, each pinned byte-identical by
   accumulation *order* of the prediction sum is preserved exactly
   (including the ``+0.0`` start that normalizes signed zeros).
 
-Large multi-dimensional arrays can additionally split each hyperplane
-across a process pool (``workers > 1``); see
-:mod:`repro.core.wavefront_pool`.  One-dimensional arrays have singleton
-hyperplanes, so a dedicated tight scalar loop handles ``d == 1``.
+The kernels run in one process; parallelism lives a level up, in tiled
+compression, where every tile is an independent array.  One-dimensional
+arrays have singleton hyperplanes, so a dedicated tight scalar loop
+handles ``d == 1``.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ __all__ = ["WavefrontPlan", "wavefront_compress", "wavefront_decompress"]
 #: the kernels rebuild each plane's indices on the fly (identical output,
 #: slightly slower) instead of pinning hundreds of MB in the plan cache.
 _TABLE_BYTES_MAX = 128 * 1024 * 1024
-
-#: Minimum number of points before ``workers > 1`` actually splits the
-#: wavefront across processes; below it the serial kernel always wins.
-_SPLIT_MIN_POINTS = 1 << 21
 
 
 class WavefrontResult:
@@ -129,8 +125,6 @@ class WavefrontPlan:
         shape: tuple[int, ...],
         n: int,
         dtype: np.dtype | type = np.float64,
-        *,
-        with_tables: bool = True,
     ) -> None:
         if any(s <= 0 for s in shape):
             raise ValueError(f"degenerate shape: {shape}")
@@ -188,8 +182,7 @@ class WavefrontPlan:
         wf_pos = np.zeros(padded_size, dtype=np.int64)
         wf_pos[pad_flat] = np.arange(1, n_points + 1, dtype=np.int64)
         self.wf_pos = wf_pos
-        if with_tables:
-            self._build_gather_tables()
+        self._build_gather_tables()
 
     def _build_gather_tables(self) -> None:
         """Precompute one contiguous gather table per hyperplane.
@@ -222,21 +215,13 @@ def wavefront_compress(
     eb: float,
     plan: WavefrontPlan,
     radius: int,
-    workers: int = 1,
 ) -> WavefrontResult:
     """Run prediction + error-controlled quantization over ``data``.
 
     Returns codes and unpredictable originals in wavefront order, plus
     (lazily) the exact array a decompressor will reconstruct.
-    ``workers > 1`` splits each hyperplane across a process pool for
-    large multi-dimensional arrays (byte-identical output; see
-    :mod:`repro.core.wavefront_pool`).
     """
     with stage("quantize", nbytes=data.nbytes):
-        if workers > 1 and data.ndim >= 2 and data.size >= _SPLIT_MIN_POINTS:
-            from repro.core.wavefront_pool import pool_wavefront_compress
-
-            return pool_wavefront_compress(data, eb, plan, radius, workers)
         return _wavefront_compress(data, eb, plan, radius)
 
 
@@ -397,19 +382,12 @@ def wavefront_decompress(
     eb: float,
     radius: int,
     out_dtype: np.dtype,
-    workers: int = 1,
 ) -> np.ndarray:
     """Replay prediction from codes; inverse of :func:`wavefront_compress`."""
     n_out = 1
     for s in plan.shape:
         n_out *= s
     with stage("dequantize", nbytes=n_out * np.dtype(out_dtype).itemsize):
-        if workers > 1 and len(plan.shape) >= 2 and n_out >= _SPLIT_MIN_POINTS:
-            from repro.core.wavefront_pool import pool_wavefront_decompress
-
-            return pool_wavefront_decompress(
-                codes, unpred_recon, plan, eb, radius, out_dtype, workers
-            )
         return _wavefront_decompress(
             codes, unpred_recon, plan, eb, radius, out_dtype
         )
@@ -436,6 +414,7 @@ def _wavefront_decompress(
     coeffs, signs, tables = plan.coeffs, plan.signs, plan.gather_tables
     miss_all = codes == UNPREDICTABLE
     total_miss = int(miss_all.sum(dtype=np.int64))
+    _check_unpred_count(total_miss, unpred_recon)
     unpred_vals = (
         unpred_recon
         if unpred_recon.dtype == idt
@@ -488,12 +467,20 @@ def _wavefront_decompress(
                 recon[mask] = unpred_vals[upos : upos + nmiss]
                 upos += nmiss
         dec_wf[1 + start : 1 + end] = recon
-    if upos != unpred_recon.size:
+    return _wavefront_to_raster(dec_wf, plan, out_dtype)
+
+
+def _check_unpred_count(n_miss: int, unpred_recon: np.ndarray) -> None:
+    """Reject a stream whose UNPREDICTABLE codes and stored values differ.
+
+    Run before the replay loop, so a corrupt stream fails with this
+    message in either direction instead of partway through the loop.
+    """
+    if n_miss != unpred_recon.size:
         raise ValueError(
             "corrupt stream: unpredictable-value count mismatch "
-            f"({upos} consumed, {unpred_recon.size} stored)"
+            f"({n_miss} unpredictable codes, {unpred_recon.size} stored)"
         )
-    return _wavefront_to_raster(dec_wf, plan, out_dtype)
 
 
 def _compress_1d(
@@ -547,6 +534,9 @@ def _decompress_1d(
     radius: int,
     out_dtype: np.dtype,
 ) -> np.ndarray:
+    _check_unpred_count(
+        int((codes == UNPREDICTABLE).sum(dtype=np.int64)), unpred_recon
+    )
     coeffs = prediction_stencil(n, 1)[1].tolist()
     dec = np.zeros(N + n, dtype=np.float64)
     codes_l = codes.tolist()
@@ -564,6 +554,4 @@ def _decompress_1d(
             for k in range(n):
                 pred += coeffs[k] * dec[i + n - 1 - k]
             dec[i + n] = float(cast(pred + (code - radius) * two_eb))
-    if upos != len(unpred64):
-        raise ValueError("corrupt stream: unpredictable-value count mismatch")
     return dec[n:].astype(out_dtype)

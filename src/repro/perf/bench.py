@@ -75,12 +75,12 @@ def synth_field(shape: tuple[int, ...], dtype: str, seed: int = 0) -> np.ndarray
     return field.astype(_DTYPES[dtype])
 
 
-def _mode_config(mode: str, workers: int = 1) -> "SZConfig":
+def _mode_config(mode: str) -> "SZConfig":
     """The :class:`repro.api.SZConfig` realizing one sweep mode."""
     from repro.api import SZConfig
 
     bound = {"abs": 1e-3, "rel": 1e-4, "pw_rel": 1e-3, "psnr": 84.0}[mode]
-    return SZConfig.from_kwargs(mode=mode, bound=bound, workers=workers)
+    return SZConfig.from_kwargs(mode=mode, bound=bound)
 
 
 def calibrate(repeats: int = 5) -> float:
@@ -133,13 +133,12 @@ def _run_case(
     shape: tuple[int, ...],
     mode: str,
     repeats: int,
-    workers: int = 1,
 ) -> dict[str, Any]:
     from repro.api import Codec
     from repro.obs import Collector
 
     field = synth_field(shape, dtype, seed=len(shape))
-    codec = Codec(_mode_config(mode, workers=workers))
+    codec = Codec(_mode_config(mode))
     # warm-up: plan caches, first-touch allocations.  Run it under a
     # private collector — the codec metrics (outlier counts, Huffman
     # table shape, compression factor) are deterministic for a seeded
@@ -259,7 +258,6 @@ def bench_report(
     dtypes: tuple[str, ...] = ("float32", "float64"),
     dims: tuple[int, ...] = (1, 2, 3),
     only: tuple[str, ...] | None = None,
-    workers: int = 1,
     kinds: tuple[str, ...] = _DEFAULT_KINDS,
 ) -> dict[str, Any]:
     """Run the sweep and return the report dict (see :data:`SCHEMA`).
@@ -280,8 +278,6 @@ def bench_report(
         raise ValueError("kinds must name at least one case family")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     cases: list[dict[str, Any]] = []
     if "sweep" in kinds:
         for dtype in dtypes:
@@ -295,7 +291,7 @@ def bench_report(
                         continue
                     shape = SCALES[scale][ndim]
                     cases.append(
-                        _run_case(name, dtype, shape, mode, repeats, workers)
+                        _run_case(name, dtype, shape, mode, repeats)
                     )
     report: dict[str, Any] = {
         "schema": SCHEMA,
@@ -440,13 +436,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default="BENCH_micro.json")
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="wavefront pool width; >1 enables the multi-process "
-             "hyperplane split on arrays above the size gate",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="OUT.json",
@@ -467,7 +456,6 @@ def main(argv: list[str] | None = None) -> int:
             repeats=args.repeats,
             modes=tuple(m for m in args.modes.split(",") if m),
             only=tuple(args.only.split(",")) if args.only else None,
-            workers=args.workers,
             kinds=tuple(k for k in args.cases.split(",") if k),
         )
     finally:

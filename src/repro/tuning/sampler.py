@@ -28,6 +28,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.bounds import finite_range
+
 __all__ = [
     "DEFAULT_BLOCK_VALUES",
     "Sample",
@@ -102,15 +104,6 @@ class Sample:
         )
 
 
-def _finite_range(data: np.ndarray) -> float:
-    """Finite ``max - min`` of ``data`` (0.0 when nothing is finite)."""
-    spread = float(np.asarray(data).max() - np.asarray(data).min())
-    if spread == spread and abs(spread) != float("inf"):
-        return spread
-    finite = np.asarray(data)[np.isfinite(data)]
-    return float(finite.max() - finite.min()) if finite.size else 0.0
-
-
 def _chosen_indices(n_total: int, fraction: float, seed: int) -> list[int]:
     """Deterministic sorted subset of ``range(n_total)`` covering ~fraction."""
     if not 0.0 < fraction <= 1.0:
@@ -155,7 +148,7 @@ def sample_array(
         n_blocks_total=grid.n_tiles,
         shape=tuple(int(s) for s in data.shape),
         dtype=data.dtype,
-        value_range=_finite_range(data),
+        value_range=finite_range(data),
         range_exact=True,
         fraction=fraction,
         seed=seed,
@@ -217,7 +210,7 @@ def sample_container(
         }
         shape = reader.shape
         dtype = reader.dtype
-    vrange = max((_finite_range(b) for b in blocks), default=0.0)
+    vrange = max((finite_range(b) for b in blocks), default=0.0)
     return Sample(
         blocks=blocks,
         block_indices=chosen,

@@ -400,18 +400,14 @@ def _finalize(
 
 def _verify(source: Any, result: TuneResult) -> None:
     """One real compression at the chosen config → actual ratio/PSNR."""
-    from repro.core.compressor import (
-        _psnr_of,
-        _value_range,
-        compress_array,
-        decompress,
-    )
+    from repro.core.bounds import finite_range
+    from repro.core.compressor import _psnr_of, compress_array, decompress
 
     data = _materialize(source)
     blob, _ = compress_array(data, result.config)
     result.actual_ratio = data.nbytes / max(1, len(blob))
     recon = decompress(blob)
-    result.actual_psnr = _psnr_of(data, recon, _value_range(data))
+    result.actual_psnr = _psnr_of(data, recon, finite_range(data))
 
 
 def _materialize(source: Any) -> np.ndarray:

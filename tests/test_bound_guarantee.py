@@ -40,7 +40,7 @@ def _mode_bound(mode: str, bound: float, data: np.ndarray) -> float:
     bound of ``bound`` would produce (1e-2 -> 40 dB ... 1e-6 -> 120 dB).
     """
     if mode == "abs":
-        finite = data[np.isfinite(data)]
+        finite = data[np.isfinite(data)].astype(np.float64)
         rng = float(finite.max() - finite.min()) if finite.size else 1.0
         return bound * max(rng, 1e-30)
     if mode == "psnr":
@@ -63,6 +63,12 @@ def _field(dtype, ndim: int, seed: int, kind: str) -> np.ndarray:
         mask = rng.random(shape) < 0.05
         data = data + mask * rng.standard_normal(shape) * 100.0
     return data.astype(dtype)
+
+
+def _beyond_flt_max() -> np.ndarray:
+    """float32 field whose finite range (~6e38) exceeds FLT_MAX."""
+    rng = np.random.default_rng(0)
+    return rng.uniform(-3e38, 3e38, 1000).astype(np.float32)
 
 
 def _roundtrip_and_verify(data, mode, bound):
@@ -161,6 +167,20 @@ class TestDegenerateInputs:
         data = np.array([5.0, np.nan, 5.0])
         with pytest.raises(ValueError, match="psnr target"):
             compress(data, mode="psnr", bound=60.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_float32_range_beyond_flt_max(self, mode):
+        # Every value is finite, but max - min overflows float32.
+        _roundtrip_and_verify(_beyond_flt_max(), mode, 1e-3)
+
+    def test_float32_range_beyond_flt_max_estimate(self):
+        from repro.api import SZConfig
+        from repro.tuning import estimate
+
+        est = estimate(
+            _beyond_flt_max(), SZConfig.from_kwargs(mode="rel", bound=1e-3)
+        )
+        assert np.isfinite(est.ratio) and est.ratio > 0
 
     def test_pw_rel_single_magnitude_mixed_signs(self):
         # Constant log field but non-constant data: the body quantizes a

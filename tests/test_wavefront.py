@@ -145,16 +145,25 @@ class TestRoundTrip:
         res, _ = wf_roundtrip(smooth2d, 1e-2)
         assert 0.9 < res.hit_rate <= 1.0
 
-    def test_unpredictable_count_mismatch_detected(self, rng):
-        data = rng.standard_normal((8, 8))
-        radius = interval_radius(8)
-        plan = WavefrontPlan(data.shape, 1)
-        res = wavefront_compress(data, 1e-6, plan, radius)
-        if res.unpredictable.size == 0:
-            pytest.skip("no unpredictables generated")
-        too_few = truncate_to_bound(res.unpredictable, 1e-6)[:-1]
-        with pytest.raises(ValueError):
-            wavefront_decompress(res.codes, too_few, plan, 1e-6, radius, data.dtype)
+    @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "surplus", ["codes", "values"], ids=["too-many-misses", "too-few-misses"]
+    )
+    def test_unpredictable_count_mismatch_detected(self, shape, surplus):
+        # Both kernels compare the counts before replaying, so either
+        # direction of corruption gets the same clean error.
+        data = np.linspace(0, 1, int(np.prod(shape))).reshape(shape)
+        eb, radius = 1e-3, interval_radius(8)
+        plan = WavefrontPlan(shape, 1)
+        res = wavefront_compress(data, eb, plan, radius)
+        codes = res.codes.copy()
+        unpred = truncate_to_bound(res.unpredictable, eb)
+        if surplus == "codes":
+            codes[::5] = UNPREDICTABLE  # misses without stored values
+        else:
+            unpred = np.append(unpred, 0.5)  # a value no code consumes
+        with pytest.raises(ValueError, match="count mismatch"):
+            wavefront_decompress(codes, unpred, plan, eb, radius, data.dtype)
 
     @given(
         st.sampled_from([(5, 6), (16, 3), (4, 4, 4), (40,)]),
