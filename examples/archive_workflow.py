@@ -9,7 +9,6 @@ Run:  python examples/archive_workflow.py
 import numpy as np
 
 import repro
-from repro.core.pointwise import compress_pointwise, decompress_pointwise
 from repro.datasets import hurricane_dataset
 from repro.metrics.report import evaluate
 from repro.parallel.files import archive_info, create_archive, extract
@@ -42,8 +41,8 @@ def main() -> None:
 
     print("\n4. moisture spans decades -> point-wise relative bounds:")
     qv = snapshot["QVAPOR"]
-    blob = compress_pointwise(qv, rel_bound=1e-3)
-    out = decompress_pointwise(blob)
+    blob = repro.compress(qv, mode="pw_rel", bound=1e-3)
+    out = repro.decompress(blob)
     nz = qv != 0
     pw_err = np.max(
         np.abs(out[nz].astype(np.float64) - qv[nz].astype(np.float64))

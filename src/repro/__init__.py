@@ -19,7 +19,7 @@ Or through the canonical config/codec objects (``repro.api``):
 >>> assert codec.decode(codec.encode(data)).shape == data.shape
 """
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 from repro.api import Codec, SZConfig, get_codec, register_codec
 from repro.chunked import (
@@ -32,7 +32,6 @@ from repro.chunked import (
 from repro.core import (
     CompressionStats,
     ErrorBound,
-    SZ14Compressor,
     compress,
     compress_with_stats,
     container_info,
@@ -47,7 +46,6 @@ __all__ = [
     "Collector",
     "CompressionStats",
     "ErrorBound",
-    "SZ14Compressor",
     "SZConfig",
     "TiledReader",
     "TiledWriter",

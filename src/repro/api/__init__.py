@@ -4,9 +4,9 @@
 JSON-serializable value object; :class:`Codec` binds one to every access
 pattern the library offers (buffer encode/decode in the numcodecs filter
 contract, tiled containers, streaming writers/readers, file-to-file
-compression).  The historical module-level functions
-(:func:`repro.compress`, :func:`repro.compress_tiled`, ...) are thin
-shims over these two classes.
+compression).  The module-level functions (:func:`repro.compress`,
+:func:`repro.compress_tiled`, ...) take the same ``SZConfig``, or the
+keywords of :meth:`SZConfig.from_kwargs`.
 
 >>> from repro.api import Codec, SZConfig
 >>> cfg = SZConfig.from_kwargs(mode="rel", bound=1e-4)

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.api.config import SZConfig
+from repro.api.config import SZConfig, config_from
 
 if TYPE_CHECKING:
     from repro.chunked.io import ByteAccountant
@@ -92,17 +92,9 @@ class Codec(_NumcodecsBase):
         collector: "Collector | None" = None,
         **kwargs: Any,
     ) -> None:
-        if config is not None and kwargs:
-            raise ValueError("pass either a config object or keywords, not both")
-        if config is None:
-            config = SZConfig.from_kwargs(**kwargs)
-        elif isinstance(config, dict):
+        if isinstance(config, dict):
             config = SZConfig.from_dict(config)
-        elif not isinstance(config, SZConfig):
-            raise ValueError(
-                f"config must be an SZConfig or a dict, got {config!r}"
-            )
-        self.config = config
+        self.config = config_from(config, kwargs)
         #: optional :class:`repro.obs.Collector` activated around every
         #: encode/decode call — runtime state, excluded from equality
         #: and :meth:`get_config` (it is not part of the codec identity).

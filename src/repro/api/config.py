@@ -5,9 +5,11 @@ the error-bound request (a validated :class:`~repro.core.bounds.ErrorBound`),
 the prediction/quantization parameters, the entropy-coder selection, the
 optional lossless post-pass, and the tiled-container geometry.  All
 public entry points (:func:`repro.compress`, the tiled writers, the CLI,
-the benchmark runner and :class:`repro.api.Codec`) are thin shims over
-an ``SZConfig`` — sweeping, serializing or inspecting a configuration
-means handling one frozen value object instead of twelve keywords.
+the benchmark runner and :class:`repro.api.Codec`) take either an
+``SZConfig`` or the keywords of :meth:`SZConfig.from_kwargs`, never
+both (:func:`config_from`) — sweeping, serializing or inspecting a
+configuration means handling one frozen value object instead of twelve
+keywords.
 
 Validation happens at construction time: a bad mode, a non-positive
 bound, an out-of-range ``interval_bits`` or an unknown entropy coder
@@ -32,7 +34,7 @@ from repro.core.adaptive import DEFAULT_THETA
 from repro.core.bounds import ErrorBound
 from repro.encoding.coders import DEFAULT_ENTROPY_CODER, available_coders
 
-__all__ = ["SZConfig"]
+__all__ = ["SZConfig", "config_from"]
 
 _MAX_INTERVAL_BITS = 16  # adaptive retry ceiling; mirrors the compressor
 
@@ -187,24 +189,36 @@ class SZConfig:
 
     @classmethod
     def from_kwargs(
-        cls,
-        mode: str | None = None,
-        bound: float | None = None,
-        abs_bound: float | None = None,
-        rel_bound: float | None = None,
-        **knobs: Any,
+        cls, mode: str | None = None, bound: float | None = None, **knobs: Any
     ) -> "SZConfig":
-        """Normalize any public keyword spelling into an ``SZConfig``.
+        """Build a config from the keyword surface of the entry points.
 
-        Accepts either the ``mode=``/``bound=`` pair or the legacy
-        ``abs_bound=``/``rel_bound=`` pair (mutually exclusive; with
-        both legacy bounds the tighter effective one wins), plus any of
-        the dataclass knobs.  This is the internal migration path — it
-        does *not* emit the deprecation warning the public shims attach
-        to the legacy pair.
+        ``mode`` (``abs``, ``rel``, ``pw_rel`` or ``psnr``) and its
+        ``bound`` are required; ``knobs`` are any of the other fields.
+        The combined abs+rel pair has no keyword spelling: pass
+        ``SZConfig(ErrorBound.from_args(abs_bound=..., rel_bound=...))``.
+
+        >>> SZConfig.from_kwargs(mode="abs", bound=1e-3, layers=2).layers
+        2
         """
-        spec = ErrorBound.from_args(mode, bound, abs_bound, rel_bound)
-        return cls(error_bound=spec, **knobs)
+        cls._reject_unknown(knobs)
+        if mode is None:
+            raise ValueError(
+                "an error bound needs mode= (one of abs, rel, pw_rel, psnr) "
+                "and bound="
+            )
+        return cls(error_bound=ErrorBound.from_args(mode, bound), **knobs)
+
+    @classmethod
+    def _reject_unknown(cls, knobs: dict[str, Any]) -> None:
+        """A typo'd (or removed) knob must raise, not silently vanish."""
+        fields = {f.name for f in dataclasses.fields(cls)} - {"error_bound"}
+        unknown = set(knobs) - fields
+        if unknown:
+            raise ValueError(
+                f"unknown config keys: {sorted(unknown)}; "
+                f"valid keys are {sorted(fields | {'mode', 'bound'})}"
+            )
 
     def replace(self, **changes: Any) -> "SZConfig":
         """A copy with ``changes`` applied — the sweep primitive.
@@ -244,8 +258,8 @@ class SZConfig:
         """JSON-safe dict; inverse of :meth:`from_dict`.
 
         The error bound is flattened into the top level (``mode`` +
-        ``bound``, plus ``abs_bound`` for the combined legacy pair) so
-        the result reads like the keyword surface it replaces.
+        ``bound``, plus ``abs_bound`` for the combined abs+rel pair) so
+        the result reads like the keyword surface.
         """
         out: dict[str, Any] = dict(self.error_bound.to_dict())
         out.update(
@@ -282,17 +296,9 @@ class SZConfig:
         if codec_id is not None and codec_id != "sz14-repro":
             raise ValueError(f"config is for codec {codec_id!r}, not sz14-repro")
         bound_spec = {
-            k: spec.pop(k)
-            for k in ("mode", "bound", "abs_bound", "rel_bound")
-            if k in spec
+            k: spec.pop(k) for k in ("mode", "bound", "abs_bound") if k in spec
         }
-        fields = {f.name for f in dataclasses.fields(cls)} - {"error_bound"}
-        unknown = set(spec) - fields
-        if unknown:
-            raise ValueError(
-                f"unknown config keys: {sorted(unknown)}; "
-                f"valid keys are {sorted(fields)}"
-            )
+        cls._reject_unknown(spec)
         return cls(error_bound=ErrorBound.from_dict(bound_spec), **spec)
 
     def to_json(self) -> str:
@@ -315,3 +321,25 @@ class SZConfig:
     def bound(self) -> float:
         """The single error-bound parameter of :attr:`mode`."""
         return self.error_bound.param
+
+
+def config_from(config: SZConfig | None, kwargs: dict[str, Any]) -> SZConfig:
+    """The one ``config=`` *or* keywords rule of every entry point.
+
+    ``config`` is an :class:`SZConfig` (or ``None``); ``kwargs`` are the
+    caller's remaining keywords, which :meth:`SZConfig.from_kwargs`
+    turns into a config when ``config`` is ``None``.  Any keyword next
+    to a config raises — even one equal to its default, which would
+    otherwise be silently ignored — so a sweep derives its variants
+    with ``config.replace(...)`` instead.
+    """
+    if config is None:
+        return SZConfig.from_kwargs(**kwargs)
+    if kwargs:
+        raise ValueError(
+            f"config= is mutually exclusive with keywords {sorted(kwargs)}; "
+            "derive a variant with config.replace(...) instead"
+        )
+    if not isinstance(config, SZConfig):
+        raise ValueError(f"config must be an SZConfig, got {config!r}")
+    return config

@@ -22,7 +22,6 @@ rmses).
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from repro.chunked.format import (
     write_header,
 )
 from repro.chunked.io import ByteAccountant, open_source
-from repro.core.compressor import LEGACY_BOUND_MSG, compress_array, decompress
+from repro.core.compressor import compress_array, decompress
 from repro.obs.tracer import metric_add, metric_observe, span
 from repro.parallel.pool import pool_map
 
@@ -87,24 +86,18 @@ class TiledWriter:
     tile_shape
         Tile extents; clipped per-axis to ``shape``.  ``None`` picks a
         near-isotropic tile of ~64k values (:func:`default_tile_shape`).
-    config
-        An :class:`repro.api.SZConfig` carrying the error bound and all
-        pipeline knobs (the canonical spelling; mutually exclusive with
-        the bound keywords below).  Its ``tile_shape``/``workers`` are
-        the defaults when the matching parameters are left unset.
-    abs_bound, rel_bound
-        Deprecated legacy bound pair, applied per tile (see module
-        docstring); emits a ``DeprecationWarning``.
-    mode, bound
-        Explicit error-bound mode and parameter (``abs``, ``rel``,
-        ``pw_rel``, ``psnr``), mutually exclusive with the legacy
-        ``abs_bound``/``rel_bound`` pair; ``pw_rel``/``psnr`` write the
-        mode-tagged v3 container.
     workers
         Process-pool width for compressing the tiles of one batch.
-    **compress_kwargs
-        Remaining :class:`repro.api.SZConfig` knobs
-        (``layers``, ``interval_bits``, ``adaptive``, ...).
+    config
+        An :class:`repro.api.SZConfig` carrying the error bound and all
+        pipeline knobs, applied per tile (see module docstring).  Its
+        ``tile_shape``/``workers`` are the defaults when the matching
+        parameters are left unset.  ``pw_rel``/``psnr`` write the
+        mode-tagged v3 container.
+    **kwargs
+        Instead of ``config``: the keywords of
+        :meth:`repro.api.SZConfig.from_kwargs` (``mode``, ``bound``,
+        ``layers``, ``interval_bits``, ...).
 
     Tiles arrive through :meth:`write_slab` (one tile-row of the leading
     axis at a time, in order) or the :meth:`write_array` /
@@ -117,41 +110,20 @@ class TiledWriter:
         shape: tuple[int, ...],
         tile_shape: tuple[int, ...] | None = None,
         dtype=np.float32,
-        abs_bound: float | None = None,
-        rel_bound: float | None = None,
         workers: int = 1,
-        mode: str | None = None,
-        bound: float | None = None,
         config=None,
-        **compress_kwargs,
+        **kwargs,
     ) -> None:
         # Normalize the whole request into one SZConfig up front (same
         # surface as repro.core.compress) so a bad mode or knob fails
         # before the destination is opened and truncated.
-        from repro.api.config import SZConfig
+        from repro.api.config import config_from
 
-        if config is None:
-            if abs_bound is not None or rel_bound is not None:
-                warnings.warn(
-                    LEGACY_BOUND_MSG, DeprecationWarning, stacklevel=2
-                )
-            config = SZConfig.from_kwargs(
-                mode=mode, bound=bound, abs_bound=abs_bound,
-                rel_bound=rel_bound, workers=max(1, int(workers)),
-                **compress_kwargs,
-            )
-        elif (
-            abs_bound is not None or rel_bound is not None
-            or mode is not None or bound is not None or compress_kwargs
-        ):
-            raise ValueError(
-                "config= is mutually exclusive with bound/knob keywords"
-            )
-        else:
-            if workers != 1:
-                config = config.replace(workers=max(1, int(workers)))
-            if tile_shape is None:
-                tile_shape = config.tile_shape
+        config = config_from(config, kwargs)
+        if workers != 1:
+            config = config.replace(workers=max(1, int(workers)))
+        if tile_shape is None:
+            tile_shape = config.tile_shape
         self.config = config
         spec = config.error_bound
         dtype = np.dtype(dtype)

@@ -59,12 +59,8 @@ def compress_tiled(
     tile_shape=None,
     workers: int = 1,
     out=None,
-    abs_bound: float | None = None,
-    rel_bound: float | None = None,
-    mode: str | None = None,
-    bound: float | None = None,
     config=None,
-    **compress_kwargs,
+    **kwargs,
 ) -> bytes | None:
     """Compress ``data`` into a tiled (v2/v3) container.
 
@@ -73,13 +69,13 @@ def compress_tiled(
     ~64k-value near-isotropic default); tiles need not divide the array
     evenly.  ``workers > 1`` fans tile compression out over a process
     pool — the resulting container is byte-identical to the serial one.
-    ``config`` is the canonical :class:`repro.api.SZConfig` spelling;
-    alternatively ``mode``/``bound`` select an error-bound mode
-    (``abs``, ``rel``, ``pw_rel``, ``psnr``; see
-    :mod:`repro.core.bounds`), applied per tile — each tile's pointwise
-    or PSNR guarantee implies the array-level one.  With ``out`` (a path
-    or binary file handle) the container is written there and ``None``
-    is returned; otherwise the bytes are returned.
+    The error bound comes from ``config`` (an :class:`repro.api.SZConfig`)
+    or from the keywords of :meth:`repro.api.SZConfig.from_kwargs`
+    (``mode``/``bound`` select ``abs``, ``rel``, ``pw_rel`` or ``psnr``;
+    see :mod:`repro.core.bounds`), applied per tile — each tile's
+    pointwise or PSNR guarantee implies the array-level one.  With
+    ``out`` (a path or binary file handle) the container is written
+    there and ``None`` is returned; otherwise the bytes are returned.
     """
     data = np.asarray(data)
     if data.ndim < 1:
@@ -93,13 +89,9 @@ def compress_tiled(
         data.shape,
         tile_shape,
         dtype=data.dtype,
-        abs_bound=abs_bound,
-        rel_bound=rel_bound,
-        mode=mode,
-        bound=bound,
         workers=workers,
         config=config,
-        **compress_kwargs,
+        **kwargs,
     )
     with writer:
         writer.write_array(data)
@@ -113,19 +105,14 @@ def compress_file_tiled(
     out,
     tile_shape=None,
     workers: int = 1,
-    abs_bound: float | None = None,
-    rel_bound: float | None = None,
-    mode: str | None = None,
-    bound: float | None = None,
     config=None,
-    **compress_kwargs,
+    **kwargs,
 ) -> dict:
     """Compress an ``.npy`` file slab by slab via a memory map.
 
     Only one leading-axis tile-row is resident at a time, so the source
-    may exceed RAM.  ``config`` (an :class:`repro.api.SZConfig`) or
-    ``mode``/``bound`` select the error-bound request as in
-    :func:`compress_tiled`.  Returns a small summary dict.
+    may exceed RAM.  ``config`` or its keywords select the error-bound
+    request as in :func:`compress_tiled`.  Returns a small summary dict.
     """
     data = np.load(npy_path, mmap_mode="r")
     if tile_shape is None and config is not None:
@@ -136,13 +123,9 @@ def compress_file_tiled(
         data.shape,
         tile_shape,
         dtype=data.dtype,
-        abs_bound=abs_bound,
-        rel_bound=rel_bound,
-        mode=mode,
-        bound=bound,
         workers=workers,
         config=config,
-        **compress_kwargs,
+        **kwargs,
     )
     with writer:
         for row in range(writer.n_slabs):

@@ -7,13 +7,14 @@ Subcommands
 ``run EXPERIMENT [--scale tiny|small|paper]``
     Run one experiment (or ``all``) and print its table.
 ``compress IN.npy OUT.sz [--mode abs|rel|pw_rel|psnr --bound X]
-[--rel 1e-4 | --abs EB] [--layers N] [--bits M]
+[--rel 1e-4] [--abs EB] [--layers N] [--bits M]
 [--tile T0,T1,... --workers N]``
     Compress a NumPy array file.  ``--mode``/``--bound`` select an
     error-bound mode: ``abs`` (absolute), ``rel`` (value-range
     relative), ``pw_rel`` (pointwise relative, ``|e_i| <= bound |x_i|``)
-    or ``psnr`` (target PSNR in dB); ``--rel``/``--abs`` remain the
-    legacy spellings of the first two.  ``--tile`` writes a
+    or ``psnr`` (target PSNR in dB).  ``--rel``/``--abs`` give a
+    range-relative and/or absolute bound instead; with both, the
+    tighter bound wins.  ``--tile`` writes a
     block-indexed tiled container, streamed slab-by-slab so the input
     may exceed RAM.
 ``decompress IN.sz OUT.npy [--region 0:10,5:20]``
@@ -65,7 +66,7 @@ import numpy as np
 
 from repro import __version__
 from repro.api import SZConfig
-from repro.core import compress_with_stats, decompress
+from repro.core import ErrorBound, compress_with_stats, decompress
 from repro.experiments import EXPERIMENTS, run_experiment
 
 __all__ = ["main"]
@@ -215,11 +216,10 @@ def _cmd_compress(args) -> int:
         args.abs_bound is not None or args.rel_bound is not None
     ):
         raise SystemExit("--mode/--bound and --abs/--rel are mutually exclusive")
-    config = SZConfig.from_kwargs(
-        mode=args.mode,
-        bound=args.bound,
-        abs_bound=args.abs_bound,
-        rel_bound=args.rel_bound,
+    config = SZConfig(
+        ErrorBound.from_args(
+            args.mode, args.bound, args.abs_bound, args.rel_bound
+        ),
         layers=args.layers,
         interval_bits=args.bits,
         adaptive=args.adaptive,
@@ -538,8 +538,15 @@ def main(argv: list[str] | None = None) -> int:
     p_c = sub.add_parser("compress", help="compress a .npy array")
     p_c.add_argument("input")
     p_c.add_argument("output")
-    p_c.add_argument("--rel", dest="rel_bound", type=float, default=None)
-    p_c.add_argument("--abs", dest="abs_bound", type=float, default=None)
+    p_c.add_argument(
+        "--rel", dest="rel_bound", type=float, default=None,
+        help="value-range-relative bound (default 1e-4 when no bound is "
+             "given); with --abs the tighter bound wins",
+    )
+    p_c.add_argument(
+        "--abs", dest="abs_bound", type=float, default=None,
+        help="absolute bound; with --rel the tighter bound wins",
+    )
     p_c.add_argument(
         "--mode", default=None, choices=["abs", "rel", "pw_rel", "psnr"],
         help="error-bound mode; pw_rel bounds |e_i| <= bound*|x_i|, "

@@ -8,7 +8,6 @@ Section IV), and the container format tying them together.
 from repro.core.bounds import MODES, ErrorBound
 from repro.core.compressor import (
     CompressionStats,
-    SZ14Compressor,
     compress,
     compress_with_stats,
     container_info,
@@ -20,7 +19,6 @@ __all__ = [
     "CompressionStats",
     "ErrorBound",
     "MODES",
-    "SZ14Compressor",
     "compress",
     "compress_with_stats",
     "container_info",

@@ -32,11 +32,11 @@ other currencies; this module converts each of them into that primitive
     and on a miss the bound falls back to ``R * 10^(-bound/20)`` —
     which guarantees the target because ``rmse <= max|error| <= eb``.
 
-:class:`ErrorBound` normalizes every spelling (legacy
-``abs_bound``/``rel_bound`` keywords included) into one value object;
-:func:`ErrorBound.resolve` is the successor of the compressor's old
-``_resolve_bound`` and raises a clear error — instead of returning
-``eb = 0`` — when only a relative bound is given for a constant field.
+:class:`ErrorBound` normalizes every spelling (including the combined
+``abs``+``rel`` pair, where the tighter bound wins) into one value
+object; :func:`ErrorBound.resolve` raises a clear error — instead of
+returning ``eb = 0`` — when only a relative bound is given for a
+constant field.
 """
 
 from __future__ import annotations
@@ -87,9 +87,15 @@ _UINT = {np.dtype(np.float32): np.dtype(np.uint32),
 class ErrorBound:
     """One normalized error-bound request.
 
-    ``abs``/``rel`` keep the legacy pair semantics (with both given the
-    tighter effective bound wins); ``pw_rel`` and ``psnr`` carry a
-    single mode parameter.
+    ``abs``/``rel`` may also carry both an absolute and a range-relative
+    bound, where the tighter effective bound wins (mode ``rel`` with an
+    ``abs_bound`` cap); ``pw_rel`` and ``psnr`` carry a single mode
+    parameter.
+
+    >>> ErrorBound.from_args("rel", 1e-4).resolve(10.0)
+    0.001
+    >>> ErrorBound.from_args(abs_bound=1e-4, rel_bound=1e-4).resolve(10.0)
+    0.0001
     """
 
     mode: str
@@ -106,11 +112,12 @@ class ErrorBound:
         abs_bound: float | None = None,
         rel_bound: float | None = None,
     ) -> "ErrorBound":
-        """Normalize the public keyword surface into an :class:`ErrorBound`.
+        """Normalize a ``mode``/``bound`` request into an :class:`ErrorBound`.
 
-        ``mode=None`` is the legacy spelling: ``abs_bound``/``rel_bound``
-        directly.  With an explicit ``mode``, ``bound`` carries the mode
-        parameter and the legacy keywords must stay unset.
+        With an explicit ``mode``, ``bound`` carries the mode parameter.
+        ``mode=None`` takes ``abs_bound`` and/or ``rel_bound`` instead —
+        the only spelling of the combined pair, where the tighter
+        effective bound wins.
         """
         if mode is None:
             if bound is not None:
@@ -121,8 +128,8 @@ class ErrorBound:
                 raise ValueError("abs_bound must be positive")
             if rel_bound is not None and rel_bound <= 0:
                 raise ValueError("rel_bound must be positive")
-            legacy_mode = "rel" if rel_bound is not None else "abs"
-            return cls(legacy_mode, abs_bound=abs_bound, rel_bound=rel_bound)
+            pair_mode = "rel" if rel_bound is not None else "abs"
+            return cls(pair_mode, abs_bound=abs_bound, rel_bound=rel_bound)
         if mode not in MODES:
             raise ValueError(f"unknown error-bound mode {mode!r}; use one of {MODES}")
         if abs_bound is not None or rel_bound is not None:
@@ -167,7 +174,7 @@ class ErrorBound:
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe spelling of this bound; inverse of :meth:`from_dict`.
 
-        The combined legacy pair (``rel`` with an ``abs`` cap, where the
+        The combined pair (``rel`` with an ``abs`` cap, where the
         tighter effective bound wins) has no single-parameter spelling,
         so it serializes with an extra ``abs_bound`` key.
         """
@@ -186,16 +193,26 @@ class ErrorBound:
 
         Every value is re-validated through :meth:`from_args`, so a
         hand-written or tampered dict fails with the same errors as the
-        keyword surface.
+        keyword surface.  A key :meth:`to_dict` never writes raises
+        rather than being dropped: ``abs_bound`` is valid only as the
+        cap of a ``rel`` bound.
         """
         if not isinstance(spec, dict):
             raise ValueError(f"error-bound spec must be a dict, got {spec!r}")
-        mode = spec.get("mode")
-        if mode == "rel" and spec.get("abs_bound") is not None:
-            return cls.from_args(
-                None, None, spec["abs_bound"], spec.get("bound")
+        unknown = set(spec) - {"mode", "bound", "abs_bound"}
+        if unknown:
+            raise ValueError(f"unknown error-bound keys: {sorted(unknown)}")
+        bound = cls.from_args(spec.get("mode"), spec.get("bound"))
+        if spec.get("abs_bound") is None:
+            return bound
+        if bound.mode != "rel":
+            raise ValueError(
+                "abs_bound is valid only with mode 'rel' (the combined "
+                f"abs+rel pair), not with mode {bound.mode!r}"
             )
-        return cls.from_args(mode, spec.get("bound"))
+        return cls.from_args(
+            abs_bound=spec["abs_bound"], rel_bound=bound.rel_bound
+        )
 
     def resolve(self, value_range: float) -> float:
         """Effective absolute bound for the ``abs``/``rel`` modes.
@@ -216,8 +233,7 @@ class ErrorBound:
         if eb == 0.0:
             raise ValueError(
                 "relative error bound resolves to zero: the field's finite "
-                "value range is 0 (constant data); pass abs_bound (or "
-                "mode='abs') instead"
+                "value range is 0 (constant data); pass mode='abs' instead"
             )
         return eb
 

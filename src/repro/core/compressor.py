@@ -8,7 +8,8 @@ analysis.
 
 Four error-bound modes are supported (see :mod:`repro.core.bounds`):
 ``abs`` (``|e_i| <= b``), ``rel`` (``|e_i| <= b * range``, and with the
-legacy ``abs_bound``/``rel_bound`` pair the tighter bound wins),
+combined abs+rel pair of :class:`~repro.core.bounds.ErrorBound` the
+tighter bound wins),
 ``pw_rel`` (``|e_i| <= b * |x_i|`` via logarithmic preconditioning) and
 ``psnr`` (decompressed PSNR ``>= b`` dB, verified post-hoc).
 
@@ -28,16 +29,13 @@ True
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.adaptive import DEFAULT_THETA
 from repro.core.bounds import (
-    ErrorBound,
     finite_range,
     psnr_fallback_bound,
     psnr_to_abs_bound,
@@ -48,7 +46,7 @@ from repro.core.bounds import (
     pw_precondition,
 )
 from repro.core.lossless_post import unwrap, wrap
-from repro.core.quantizer import interval_radius, num_intervals
+from repro.core.quantizer import interval_radius
 from repro.core.stream import (
     FLAG_CONSTANT,
     Header,
@@ -63,7 +61,6 @@ from repro.core.wavefront import (
     wavefront_decompress,
 )
 from repro.encoding.coders import (
-    DEFAULT_ENTROPY_CODER,
     EntropyPayload,
     coder_for_flags,
     get_entropy_coder,
@@ -76,83 +73,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CompressionStats",
-    "SZ14Compressor",
     "compress",
     "compress_array",
     "compress_with_stats",
     "container_info",
     "decompress",
 ]
-
-LEGACY_BOUND_MSG = (
-    "the abs_bound/rel_bound keywords are deprecated; pass mode=/bound= "
-    "(e.g. mode='rel', bound=1e-4) or an SZConfig via config="
-)
-
-
-def _reject_config_conflicts(
-    abs_bound: float | None,
-    rel_bound: float | None,
-    layers: int,
-    interval_bits: int,
-    adaptive: bool,
-    theta: float,
-    block_size: int,
-    entropy_coder: str,
-    lossless_post: bool,
-    mode: str | None,
-    bound: float | None,
-) -> None:
-    """With ``config=`` given, every other keyword must stay unset.
-
-    A knob passed alongside a config would be silently ignored — a
-    sweep bug waiting to happen — so any non-default value raises.
-    """
-    defaults = (
-        abs_bound is None and rel_bound is None
-        and mode is None and bound is None
-        and layers == 1 and interval_bits == 8
-        and adaptive is False and theta == DEFAULT_THETA
-        and block_size == 4096 and entropy_coder == DEFAULT_ENTROPY_CODER
-        and lossless_post is False
-    )
-    if not defaults:
-        raise ValueError(
-            "config= is mutually exclusive with the bound/knob keywords; "
-            "derive a variant with config.replace(...) instead"
-        )
-
-
-def _shim_config(
-    abs_bound: float | None,
-    rel_bound: float | None,
-    layers: int,
-    interval_bits: int,
-    adaptive: bool,
-    theta: float,
-    block_size: int,
-    entropy_coder: str,
-    lossless_post: bool,
-    mode: str | None,
-    bound: float | None,
-) -> "SZConfig":
-    """Normalize a legacy keyword call into an ``SZConfig``.
-
-    Emits the deprecation warning for the legacy ``abs_bound``/
-    ``rel_bound`` pair at the caller's call site (stacklevel 3: helper →
-    shim → user code).  Internal code constructs ``SZConfig`` directly
-    and never goes through here.
-    """
-    if abs_bound is not None or rel_bound is not None:
-        warnings.warn(LEGACY_BOUND_MSG, DeprecationWarning, stacklevel=3)
-    from repro.api.config import SZConfig
-
-    return SZConfig.from_kwargs(
-        mode=mode, bound=bound, abs_bound=abs_bound, rel_bound=rel_bound,
-        layers=layers, interval_bits=interval_bits, adaptive=adaptive,
-        theta=theta, block_size=block_size, entropy_coder=entropy_coder,
-        lossless_post=lossless_post,
-    )
 
 _MAX_INTERVAL_BITS = 16
 _PLAN_CACHE: OrderedDict[
@@ -478,20 +404,7 @@ def _compress_array_impl(
 
 
 def compress_with_stats(
-    data: np.ndarray,
-    abs_bound: float | None = None,
-    rel_bound: float | None = None,
-    layers: int = 1,
-    interval_bits: int = 8,
-    adaptive: bool = False,
-    theta: float = DEFAULT_THETA,
-    block_size: int = 4096,
-    entropy_coder: str = "huffman",
-    lossless_post: bool = False,
-    mode: str | None = None,
-    bound: float | None = None,
-    *,
-    config: "SZConfig | None" = None,
+    data: np.ndarray, *, config: "SZConfig | None" = None, **kwargs: Any
 ) -> tuple[bytes, CompressionStats]:
     """Compress ``data`` and return ``(container bytes, diagnostics)``.
 
@@ -505,17 +418,15 @@ def compress_with_stats(
         1-, 2- or 3-dimensional (any-d supported) float32/float64 array.
     config
         An :class:`repro.api.SZConfig`; mutually exclusive with every
-        other keyword.
+        other keyword, even one passed at its default value.
     mode, bound
         Error-bound mode (``abs``, ``rel``, ``pw_rel`` or ``psnr``) and
         its parameter: an absolute bound, a range-relative fraction, a
         pointwise-relative fraction in (0, 1), or a target PSNR in dB.
-        See :mod:`repro.core.bounds` for the guarantees.
-    abs_bound, rel_bound
-        Deprecated legacy bound pair (absolute and/or value-range
-        relative; with both, the tighter effective bound wins).
-        Mutually exclusive with ``mode``/``bound``; emits a
-        ``DeprecationWarning``.
+        See :mod:`repro.core.bounds` for the guarantees.  The combined
+        absolute + range-relative pair (the tighter bound wins) has no
+        keyword spelling: pass ``config=SZConfig(ErrorBound.from_args(
+        abs_bound=..., rel_bound=...))``.
     layers
         Prediction layers ``n`` (paper default 1; best layer is
         data-dependent, see Table II).
@@ -534,17 +445,9 @@ def compress_with_stats(
         Run the finished container through the DEFLATE-like codec (SZ's
         optional gzip pipe); kept only when it actually shrinks.
     """
-    if config is None:
-        config = _shim_config(
-            abs_bound, rel_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, lossless_post, mode, bound,
-        )
-    else:
-        _reject_config_conflicts(
-            abs_bound, rel_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, lossless_post, mode, bound,
-        )
-    return compress_array(data, config)
+    from repro.api.config import config_from
+
+    return compress_array(data, config_from(config, kwargs))
 
 
 def _compress_pw_rel(
@@ -603,8 +506,8 @@ def _compress_psnr(
         # zero-range field is as meaningless as a relative bound on one.
         raise ValueError(
             "psnr target cannot be resolved: the field's finite value "
-            "range is 0 (constant data with NaN/Inf); pass abs_bound "
-            "(or mode='abs') instead"
+            "range is 0 (constant data with NaN/Inf); pass mode='abs' "
+            "instead"
         )
     fallback = psnr_fallback_bound(target_db, value_range)
     candidates = [
@@ -629,38 +532,10 @@ def _compress_psnr(
 
 
 def compress(
-    data: np.ndarray,
-    abs_bound: float | None = None,
-    rel_bound: float | None = None,
-    layers: int = 1,
-    interval_bits: int = 8,
-    adaptive: bool = False,
-    theta: float = DEFAULT_THETA,
-    block_size: int = 4096,
-    entropy_coder: str = "huffman",
-    lossless_post: bool = False,
-    mode: str | None = None,
-    bound: float | None = None,
-    *,
-    config: "SZConfig | None" = None,
+    data: np.ndarray, *, config: "SZConfig | None" = None, **kwargs: Any
 ) -> bytes:
-    """Compress ``data``; see :func:`compress_with_stats` for parameters.
-
-    The keywords are normalized into one :class:`repro.api.SZConfig`
-    here and forwarded keyword-only — the engine never sees a positional
-    parameter list that could silently reorder.
-    """
-    if config is None:
-        config = _shim_config(
-            abs_bound, rel_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, lossless_post, mode, bound,
-        )
-    else:
-        _reject_config_conflicts(
-            abs_bound, rel_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, lossless_post, mode, bound,
-        )
-    blob, _ = compress_array(data, config)
+    """Compress ``data``; see :func:`compress_with_stats` for parameters."""
+    blob, _ = compress_with_stats(data, config=config, **kwargs)
     return blob
 
 
@@ -822,115 +697,3 @@ def container_info(blob: Any) -> dict[str, Any]:
         "lossless_post": wrapped,
         "compressed_bytes": len(blob),
     }
-
-
-class SZ14Compressor:
-    """Object-style façade holding default parameters.
-
-    A thin shim over :class:`repro.api.SZConfig` /
-    :class:`repro.api.Codec`: pass ``config=`` directly, or the
-    historical keywords (the ``abs_bound``/``rel_bound`` pair is
-    deprecated, like everywhere else).
-
-    >>> sz = SZ14Compressor(mode="rel", bound=1e-4, layers=1)
-    >>> blob = sz.compress(np.zeros((4, 4), dtype=np.float32) + 1)
-    >>> sz.decompress(blob).shape
-    (4, 4)
-    """
-
-    name = "SZ-1.4"
-
-    def __init__(
-        self,
-        abs_bound: float | None = None,
-        rel_bound: float | None = None,
-        layers: int = 1,
-        interval_bits: int = 8,
-        adaptive: bool = False,
-        theta: float = DEFAULT_THETA,
-        entropy_coder: str = "huffman",
-        lossless_post: bool = False,
-        mode: str | None = None,
-        bound: float | None = None,
-        *,
-        config: "SZConfig | None" = None,
-    ) -> None:
-        if abs_bound is not None or rel_bound is not None:
-            warnings.warn(LEGACY_BOUND_MSG, DeprecationWarning, stacklevel=2)
-        self._config = config
-        if config is not None:
-            _reject_config_conflicts(
-                abs_bound, rel_bound, layers, interval_bits, adaptive,
-                theta, 4096, entropy_coder, lossless_post, mode, bound,
-            )
-            spec = config.error_bound
-            abs_bound, rel_bound = spec.abs_bound, spec.rel_bound
-            mode, bound = spec.mode, spec.param
-            layers, interval_bits = config.layers, config.interval_bits
-            adaptive, theta = config.adaptive, config.theta
-            entropy_coder = config.entropy_coder
-            lossless_post = config.lossless_post
-        self.abs_bound = abs_bound
-        self.rel_bound = rel_bound
-        self.layers = layers
-        self.interval_bits = interval_bits
-        self.adaptive = adaptive
-        self.theta = theta
-        self.entropy_coder = entropy_coder
-        self.lossless_post = lossless_post
-        self.mode = mode
-        self.bound = bound
-
-    def _resolved_config(self, **overrides: Any) -> "SZConfig":
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if overrides.get("abs_bound") is not None or overrides.get(
-            "rel_bound"
-        ) is not None:
-            warnings.warn(LEGACY_BOUND_MSG, DeprecationWarning, stacklevel=3)
-        if self._config is not None:
-            legacy = {
-                k: overrides.pop(k)
-                for k in ("abs_bound", "rel_bound")
-                if k in overrides
-            }
-            if legacy:
-                overrides["error_bound"] = ErrorBound.from_args(
-                    None, None, legacy.get("abs_bound"), legacy.get("rel_bound")
-                )
-            return (
-                self._config.replace(**overrides)
-                if overrides
-                else self._config
-            )
-        kwargs = dict(
-            abs_bound=self.abs_bound,
-            rel_bound=self.rel_bound,
-            layers=self.layers,
-            interval_bits=self.interval_bits,
-            adaptive=self.adaptive,
-            theta=self.theta,
-            entropy_coder=self.entropy_coder,
-            lossless_post=self.lossless_post,
-            mode=self.mode,
-            bound=self.bound,
-        )
-        kwargs.update(overrides)
-        from repro.api.config import SZConfig
-
-        return SZConfig.from_kwargs(**kwargs)
-
-    def compress(self, data: np.ndarray, **overrides: Any) -> bytes:
-        blob, _ = compress_array(data, self._resolved_config(**overrides))
-        return blob
-
-    def compress_with_stats(
-        self, data: np.ndarray, **overrides: Any
-    ) -> tuple[bytes, CompressionStats]:
-        return compress_array(data, self._resolved_config(**overrides))
-
-    def decompress(self, blob: Any, out: Any = None) -> np.ndarray:
-        return decompress(blob, out=out)
-
-    @property
-    def intervals(self) -> int:
-        return num_intervals(self.interval_bits)

@@ -115,6 +115,8 @@ def decompress_sliced(blob: bytes) -> np.ndarray:
     if blob[:4] != _MAGIC:
         raise ValueError("not a sliced container")
     count = int.from_bytes(blob[4:8], "big")
+    if len(blob) < 8 + 6 * count:
+        raise ValueError("truncated sliced container")
     pos = 8
     lengths = []
     for _ in range(count):

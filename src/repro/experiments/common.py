@@ -133,9 +133,10 @@ def _failed(name, reason) -> CompressorResult:
 def run_sz14(data: np.ndarray, rel_bound: float | None = None,
              abs_bound: float | None = None, **kw) -> CompressorResult:
     from repro.api import SZConfig
+    from repro.core import ErrorBound
 
-    config = SZConfig.from_kwargs(
-        abs_bound=abs_bound, rel_bound=rel_bound, **kw
+    config = SZConfig(
+        ErrorBound.from_args(abs_bound=abs_bound, rel_bound=rel_bound), **kw
     )
     t0 = time.perf_counter()
     blob, _ = compress_with_stats(data, config=config)

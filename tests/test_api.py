@@ -9,12 +9,14 @@ Covers the canonical surface introduced by the API redesign:
   tiled/streaming/file access methods;
 * zero-copy buffer-protocol handling on the decode path (memoryview in,
   caller-provided ``out`` buffer back out);
-* the deprecation shims — legacy keyword calls warn *and* stay
-  byte-identical to the new path, pinned against the golden fixtures.
+* the entry-point rule — ``config=`` or keywords, never both; the
+  removed ``abs_bound=``/``rel_bound=`` keywords fail loudly — and
+  byte identity of every path against the golden fixtures.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -23,7 +25,8 @@ import pytest
 
 import repro
 from repro.api import Codec, SZConfig, get_codec
-from repro.core import ErrorBound, compress, compress_with_stats, decompress
+from repro.chunked import compress_file_tiled
+from repro.core import ErrorBound, compress, compress_with_stats
 from repro.core.compressor import compress_array
 from repro.encoding.bitio import BitReader
 
@@ -66,6 +69,24 @@ class TestSZConfigValidation:
     def test_invalid_configs_raise_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             SZConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"mode": "abs", "bound": 1e-3, "abs_bound": 5e-3},
+            {"mode": "rel", "bound": 1e-3, "rel_bound": 5.0},
+            {"mode": "pw_rel", "bound": 1e-3, "abs_bound": 5e-3},
+            {"mode": "psnr", "bound": 60.0, "abs_bound": 5e-3},
+            {"mode": "rel", "abs_bound": 5e-3},
+            {"abs_bound": 1e-3},
+        ],
+    )
+    def test_from_dict_rejects_stray_bound_keys(self, spec):
+        # Only the combined pair's abs_bound (next to mode "rel" and its
+        # bound) is a bound key besides mode/bound; anything else must
+        # raise instead of being dropped or reinterpreted.
+        with pytest.raises(ValueError):
+            SZConfig.from_dict(spec)
 
     def test_from_kwargs_mutual_exclusion(self):
         with pytest.raises(ValueError):
@@ -359,42 +380,39 @@ class TestCodecTiledAccess:
         )
 
 
-class TestDeprecationShims:
-    """Legacy keyword spellings warn and stay byte-identical."""
+#: every entry point that used to take abs_bound=/rel_bound=, called as
+#: ``entry(data, npy_path, **keywords)``
+REMOVED_KEYWORD_ENTRIES = {
+    "compress": lambda data, npy, **kw: compress(data, **kw),
+    "compress_with_stats": lambda data, npy, **kw: compress_with_stats(
+        data, **kw
+    ),
+    "Codec": lambda data, npy, **kw: Codec(**kw),
+    "TiledWriter": lambda data, npy, **kw: repro.TiledWriter(
+        io.BytesIO(), data.shape, (16, 24), **kw
+    ),
+    "compress_tiled": lambda data, npy, **kw: repro.compress_tiled(
+        data, tile_shape=(16, 24), **kw
+    ),
+    "compress_file_tiled": lambda data, npy, **kw: compress_file_tiled(
+        npy, npy.with_suffix(".szt"), tile_shape=(16, 24), **kw
+    ),
+    "SZConfig.from_kwargs": lambda data, npy, **kw: SZConfig.from_kwargs(**kw),
+}
 
-    def test_compress_legacy_warns_and_matches(self, smooth2d):
-        with pytest.warns(DeprecationWarning, match="abs_bound/rel_bound"):
-            legacy = compress(smooth2d, rel_bound=1e-4)
-        assert legacy == compress(smooth2d, mode="rel", bound=1e-4)
-        assert legacy == Codec(mode="rel", bound=1e-4).encode(smooth2d)
 
-    def test_compress_with_stats_legacy_warns(self, smooth2d):
-        with pytest.warns(DeprecationWarning):
-            blob, stats = compress_with_stats(smooth2d, abs_bound=1e-2)
-        assert stats.mode == "abs"
-        assert blob == compress(smooth2d, mode="abs", bound=1e-2)
+class TestEntryPoints:
+    """One way in: ``config=`` or keywords, and identical bytes on every path."""
 
-    def test_sz14compressor_legacy_warns_and_matches(self, smooth2d):
-        with pytest.warns(DeprecationWarning):
-            sz = repro.SZ14Compressor(rel_bound=1e-3)
-        new = repro.SZ14Compressor(mode="rel", bound=1e-3)
-        assert sz.compress(smooth2d) == new.compress(smooth2d)
-
-    def test_sz14compressor_from_config(self, smooth2d):
-        cfg = SZConfig(("rel", 1e-3), layers=2)
-        sz = repro.SZ14Compressor(config=cfg)
-        assert sz.layers == 2
-        assert sz.compress(smooth2d) == compress(smooth2d, config=cfg)
-
-    def test_tiled_legacy_warns_and_matches(self, smooth2d):
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.compress_tiled(
-                smooth2d, tile_shape=(16, 24), rel_bound=1e-3
-            )
-        cfg = SZConfig(("rel", 1e-3))
-        assert legacy == repro.compress_tiled(
-            smooth2d, tile_shape=(16, 24), config=cfg
-        )
+    @pytest.mark.parametrize("key", ["abs_bound", "rel_bound"])
+    @pytest.mark.parametrize("entry", list(REMOVED_KEYWORD_ENTRIES))
+    def test_removed_bound_keywords_fail_loudly(
+        self, entry, key, smooth2d, tmp_path
+    ):
+        npy = tmp_path / "a.npy"
+        np.save(npy, smooth2d)
+        with pytest.raises((TypeError, ValueError)):
+            REMOVED_KEYWORD_ENTRIES[entry](smooth2d, npy, **{key: 1e-3})
 
     def test_config_conflicts_rejected(self, smooth2d):
         cfg = SZConfig(("rel", 1e-3))
@@ -408,21 +426,23 @@ class TestDeprecationShims:
 
     def test_config_plus_knob_kwargs_rejected(self, smooth2d):
         # A knob passed alongside config= must raise, not be silently
-        # dropped — on every shim.
+        # dropped — on every entry point, even at its default value.
         cfg = SZConfig(("rel", 1e-3))
         with pytest.raises(ValueError, match="mutually exclusive"):
             compress(smooth2d, layers=3, config=cfg)
         with pytest.raises(ValueError, match="mutually exclusive"):
             compress_with_stats(smooth2d, interval_bits=12, config=cfg)
         with pytest.raises(ValueError, match="mutually exclusive"):
-            repro.SZ14Compressor(layers=4, config=cfg)
+            Codec(cfg, layers=4)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            compress(smooth2d, layers=1, config=cfg)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            compress_with_stats(smooth2d, entropy_coder="huffman", config=cfg)
 
     def test_golden_blobs_via_every_path(self):
-        """Old shims, new shims and Codec.encode emit identical bytes."""
+        """Keywords, config= and Codec.encode emit identical bytes."""
         field = np.load(GOLDEN / "field_f32.npy")
         golden = (GOLDEN / "v1_abs_1e-3.sz").read_bytes()
-        with pytest.warns(DeprecationWarning):
-            assert compress(field, abs_bound=1e-3) == golden
         assert compress(field, mode="abs", bound=1e-3) == golden
         cfg = SZConfig(("abs", 1e-3))
         assert compress_array(field, cfg)[0] == golden

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SZConfig
+from repro.chunked import compress_tiled
 from repro.cli import main
+from repro.core import ErrorBound, compress
 
 
 class TestList:
@@ -57,6 +60,31 @@ class TestCompressDecompress:
         dst = tmp_path / "r.npy"
         assert main(["decompress", str(comp), str(dst)]) == 0
         assert np.abs(np.load(dst) - smooth2d).max() <= 0.01
+
+    @pytest.mark.parametrize("tile", [None, "16,20"])
+    @pytest.mark.parametrize("abs_b,rel_b", [("1e-3", "1e-2"), ("1.0", "1e-5")])
+    def test_combined_abs_rel_pair_matches_library(
+        self, tmp_path, smooth2d, tile, abs_b, rel_b
+    ):
+        # --abs with --rel is the CLI's spelling of the combined pair
+        # (the tighter bound wins): it must write exactly the bytes of
+        # the library's ErrorBound.from_args(abs_bound=, rel_bound=).
+        src = tmp_path / "p.npy"
+        comp = tmp_path / "p.sz"
+        np.save(src, smooth2d)
+        argv = ["compress", str(src), str(comp), "--abs", abs_b, "--rel", rel_b]
+        if tile is not None:
+            argv += ["--tile", tile]
+        assert main(argv) == 0
+        config = SZConfig(
+            ErrorBound.from_args(abs_bound=float(abs_b), rel_bound=float(rel_b))
+        )
+        expected = (
+            compress(smooth2d, config=config)
+            if tile is None
+            else compress_tiled(smooth2d, tile_shape=(16, 20), config=config)
+        )
+        assert comp.read_bytes() == expected
 
     def test_default_bound_applied(self, tmp_path, smooth2d):
         src = tmp_path / "g.npy"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    SZ14Compressor,
     compress,
     compress_with_stats,
     decompress,
@@ -38,19 +37,17 @@ class TestRoundTrip:
         assert np.abs(out - smooth2d).max() <= rel * rng_
 
     def test_both_bounds_tighter_wins(self, smooth2d):
-        # The combined pair has no mode=/bound= spelling; the legacy
-        # keywords still work (under a DeprecationWarning), and the
-        # warning-free spelling is an explicit ErrorBound.
-        rng_ = float(smooth2d.max() - smooth2d.min())
-        with pytest.warns(DeprecationWarning):
-            blob = compress(smooth2d, abs_bound=1.0, rel_bound=1e-5)
-        out = decompress(blob)
-        assert np.abs(out - smooth2d).max() <= 1e-5 * rng_
+        # The combined pair has no mode=/bound= spelling; it is an
+        # explicit ErrorBound inside a config.
         from repro.api import SZConfig
         from repro.core import ErrorBound
 
+        rng_ = float(smooth2d.max() - smooth2d.min())
         spec = ErrorBound.from_args(abs_bound=1.0, rel_bound=1e-5)
-        assert blob == compress(smooth2d, config=SZConfig(spec))
+        blob, stats = compress_with_stats(smooth2d, config=SZConfig(spec))
+        assert stats.eb_abs == pytest.approx(min(1.0, 1e-5 * rng_))
+        out = decompress(blob)
+        assert np.abs(out - smooth2d).max() <= 1e-5 * rng_
 
     def test_spiky_data(self, spiky2d):
         eb = 1e-4 * float(spiky2d.max() - spiky2d.min())
@@ -194,23 +191,6 @@ class TestValidation:
         assert header.value_range == pytest.approx(
             float(smooth2d.max() - smooth2d.min())
         )
-
-
-class TestFacade:
-    def test_defaults_and_overrides(self, smooth2d):
-        sz = SZ14Compressor(mode="rel", bound=1e-3, layers=1)
-        blob = sz.compress(smooth2d)
-        out = sz.decompress(blob)
-        rng_ = float(smooth2d.max() - smooth2d.min())
-        assert np.abs(out - smooth2d).max() <= 1e-3 * rng_
-        blob2, stats2 = sz.compress_with_stats(smooth2d, mode="rel", bound=1e-2)
-        assert stats2.eb_abs == pytest.approx(1e-2 * rng_)
-
-    def test_intervals_property(self):
-        assert SZ14Compressor(interval_bits=8).intervals == 255
-
-    def test_name(self):
-        assert SZ14Compressor().name == "SZ-1.4"
 
 
 class TestPlanCache:

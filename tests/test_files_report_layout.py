@@ -209,5 +209,12 @@ class TestLayout:
         with pytest.raises(ValueError):
             suggest_batching(rng.standard_normal((4, 5)), 0.0)
 
+    def test_corrupt_slice_count_rejected_up_front(self):
+        # 12 bytes cannot hold 2**32 - 1 six-byte slice lengths: the
+        # length check must fire before any per-slice loop runs.
+        blob = b"SZSL" + (2**32 - 1).to_bytes(4, "big") + b"\x00" * 4
+        with pytest.raises(ValueError, match="truncated"):
+            decompress_sliced(blob)
+
     def test_1d_never_batched(self, rng):
         assert not suggest_batching(rng.standard_normal(100), 0.1)

@@ -52,18 +52,10 @@ class TestV1Golden:
 
     def test_abs_recompress_byte_identical(self):
         field = np.load(GOLDEN / "field_f32.npy")
-        # The deprecated legacy spelling must keep producing the exact
-        # archived bytes (shim byte-identity), as must the mode spelling.
-        with pytest.warns(DeprecationWarning):
-            legacy = compress(field, abs_bound=1e-3)
-        assert legacy == _blob("v1_abs_1e-3.sz")
         assert compress(field, mode="abs", bound=1e-3) == _blob("v1_abs_1e-3.sz")
 
     def test_rel_recompress_byte_identical(self):
         field = np.load(GOLDEN / "field_f32.npy")
-        with pytest.warns(DeprecationWarning):
-            legacy = compress(field, rel_bound=1e-4, layers=2, interval_bits=10)
-        assert legacy == _blob("v1_rel_1e-4.sz")
         blob = compress(field, mode="rel", bound=1e-4, layers=2, interval_bits=10)
         assert blob == _blob("v1_rel_1e-4.sz")
 
@@ -88,9 +80,6 @@ class TestTiledV2Golden:
 
     def test_recompress_byte_identical(self):
         field = np.load(GOLDEN / "field_f32.npy")
-        with pytest.warns(DeprecationWarning):
-            legacy = compress_tiled(field, tile_shape=(8, 12), rel_bound=1e-3)
-        assert legacy == _blob("v2_tiled_rel_1e-3.szt")
         blob = compress_tiled(field, tile_shape=(8, 12), mode="rel", bound=1e-3)
         assert blob == _blob("v2_tiled_rel_1e-3.szt")
 

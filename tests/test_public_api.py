@@ -17,7 +17,6 @@ REPRO_ALL = [
     "Collector",
     "CompressionStats",
     "ErrorBound",
-    "SZ14Compressor",
     "SZConfig",
     "TiledReader",
     "TiledWriter",

@@ -6,12 +6,12 @@ runs.  Rules (see ``tools/szlint/README.md`` for rationale):
 
 * **SZ101** — writer/reader byte-width pairing in container modules.
 * **SZ102** — determinism guard for encode/decode modules.
-* **SZ103** — no internal callers of the legacy ``abs_bound``/``rel_bound``
-  keyword shims.
 * **SZ104** — no buffer copies (``.tobytes()`` / ``bytes(...)``) in the
   decode path.
 * **SZ105** — public entry points take an :class:`~repro.api.SZConfig`
   instead of growing keyword lists.
+* **SZ106** — entropy coding is dispatched through the coder registry,
+  never by comparing ``entropy_coder`` names.
 
 Run as ``python -m tools.szlint src`` (``--json`` for machine output).
 Suppress a finding with a trailing ``# szlint: ignore[SZ10x]`` comment.

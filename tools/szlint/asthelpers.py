@@ -10,7 +10,6 @@ __all__ = [
     "int_literal",
     "slice_width",
     "str_literal",
-    "has_keyword",
 ]
 
 
@@ -56,10 +55,6 @@ def str_literal(node: ast.expr | None) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-def has_keyword(call: ast.Call, *names: str) -> bool:
-    return any(kw.arg in names for kw in call.keywords)
 
 
 def _decompose(

@@ -37,9 +37,8 @@ def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule (stateful across files)."""
     from tools.szlint.rules.sz101 import SZ101
     from tools.szlint.rules.sz102 import SZ102
-    from tools.szlint.rules.sz103 import SZ103
     from tools.szlint.rules.sz104 import SZ104
     from tools.szlint.rules.sz105 import SZ105
     from tools.szlint.rules.sz106 import SZ106
 
-    return [SZ101(), SZ102(), SZ103(), SZ104(), SZ105(), SZ106()]
+    return [SZ101(), SZ102(), SZ104(), SZ105(), SZ106()]
