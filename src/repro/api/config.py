@@ -102,7 +102,8 @@ class SZConfig:
     entropy_coder
         ``"huffman"`` (the paper's coder) or ``"arithmetic"``.
     lossless_post
-        Pipe the finished container through the DEFLATE-like codec.
+        Pipe the finished container through stdlib ``zlib`` (gzip's
+        default level); kept only when it shrinks.
     tile_shape
         Default tile extents for the tiled container paths: a per-axis
         tuple, a bare int (cubic tiles along every axis of the array

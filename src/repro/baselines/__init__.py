@@ -1,14 +1,15 @@
 """Baseline compressors the paper evaluates against (Section V).
 
-Every comparator is implemented from scratch on the shared encoding
-substrates:
+Every comparator but one is implemented from scratch on the shared
+encoding substrates; the GZIP-like baseline is stdlib ``zlib``, since
+the paper's GZIP is itself a stock tool:
 
-=============  ==================================================own=====
+=============  =========================================================
 ``sz11``       SZ-1.1 single-dimension curve-fitting predictor [9]
 ``zfp``        ZFP-like fixed-rate / fixed-accuracy block-transform codec [13]
 ``isabela``    ISABELA sort + B-spline window compressor [12]
 ``fpzip``      FPZIP-like lossless Lorenzo-predictive float coder [14]
-``gzip_like``  GZIP-like DEFLATE codec over raw bytes [8]
+``gzip_like``  GZIP-like: stdlib ``zlib`` over raw bytes [8]
 ``numarck``    NUMARCK/SSEM-style vector quantization (related work) [6,16]
 =============  =========================================================
 """

@@ -124,10 +124,9 @@ class ErrorBound:
                 raise ValueError("bound requires an explicit mode")
             if abs_bound is None and rel_bound is None:
                 raise ValueError("provide abs_bound and/or rel_bound")
-            if abs_bound is not None and abs_bound <= 0:
-                raise ValueError("abs_bound must be positive")
-            if rel_bound is not None and rel_bound <= 0:
-                raise ValueError("rel_bound must be positive")
+            for name, value in (("abs_bound", abs_bound), ("rel_bound", rel_bound)):
+                if value is not None and not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{name} must be positive and finite")
             pair_mode = "rel" if rel_bound is not None else "abs"
             return cls(pair_mode, abs_bound=abs_bound, rel_bound=rel_bound)
         if mode not in MODES:
@@ -140,12 +139,12 @@ class ErrorBound:
             raise ValueError(f"mode {mode!r} requires bound")
         bound = float(bound)
         if mode == "abs":
-            if bound <= 0:
-                raise ValueError("abs bound must be positive")
+            if not (math.isfinite(bound) and bound > 0):
+                raise ValueError("abs bound must be positive and finite")
             return cls("abs", abs_bound=bound)
         if mode == "rel":
-            if bound <= 0:
-                raise ValueError("rel bound must be positive")
+            if not (math.isfinite(bound) and bound > 0):
+                raise ValueError("rel bound must be positive and finite")
             return cls("rel", rel_bound=bound)
         if mode == "pw_rel":
             if not 0.0 < bound < 1.0:

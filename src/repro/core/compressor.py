@@ -45,7 +45,7 @@ from repro.core.bounds import (
     pw_postcondition,
     pw_precondition,
 )
-from repro.core.lossless_post import unwrap, wrap
+from repro.core.lossless_post import is_wrapped, unwrap, wrap
 from repro.core.quantizer import interval_radius
 from repro.core.stream import (
     FLAG_CONSTANT,
@@ -442,7 +442,7 @@ def compress_with_stats(
         ``"arithmetic"`` — an out-of-paper extension using the adaptive
         range coder (slower; removes Huffman's integer-bit rounding loss).
     lossless_post
-        Run the finished container through the DEFLATE-like codec (SZ's
+        Run the finished container through stdlib ``zlib`` (SZ's
         optional gzip pipe); kept only when it actually shrinks.
     """
     from repro.api.config import config_from
@@ -677,8 +677,6 @@ def container_info(blob: Any) -> dict[str, Any]:
     unpredictable count and the entropy/post-pass variants in use.
     Accepts any buffer-protocol object, like :func:`decompress`.
     """
-    from repro.core.lossless_post import is_wrapped
-
     blob = _as_byte_view(blob)
     wrapped = is_wrapped(blob)
     header = read_container(unwrap(blob))[0]

@@ -11,18 +11,17 @@ ragged
 huffman
     Canonical Huffman coding for arbitrary alphabet sizes (the paper's
     tailored variable-length encoder, Section IV-A).
+arithmetic
+    Adaptive binary range coder (the out-of-paper ``entropy_coder=
+    "arithmetic"`` stage) and the ``zigzag`` mapping it codes through.
 coders
     The :class:`EntropyCoder` protocol and the coder registry the
     compressor's entropy stage dispatches through
     (``get_entropy_coder`` / ``register_entropy_coder`` /
     ``available_coders``).
-rice
-    Golomb-Rice coding for non-negative integers.
-lz77
-    Hash-chain LZ77 matcher.
-deflate
-    DEFLATE-like lossless codec (LZ77 + two canonical Huffman alphabets)
-    backing the GZIP baseline.
+
+The byte-level lossless stage (the ``lossless_post`` wrapper and the
+GZIP baseline) is stdlib ``zlib``; see :mod:`repro.core.lossless_post`.
 """
 
 from repro.encoding.bitio import (

@@ -21,7 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "encode_symbols", "decode_symbols"]
+__all__ = [
+    "ArithmeticEncoder",
+    "ArithmeticDecoder",
+    "encode_symbols",
+    "decode_symbols",
+    "zigzag",
+    "unzigzag",
+]
 
 _TOP = 1 << 24
 _BOT = 1 << 16
@@ -186,3 +193,17 @@ def decode_symbols(
             value = (value << 1) | dec.decode_bit_raw()
         out[i] = value
     return out
+
+
+def zigzag(values: np.ndarray) -> np.ndarray:
+    """Map signed integers to non-negative: 0,-1,1,-2,2 -> 0,1,2,3,4."""
+    values = np.asarray(values, dtype=np.int64)
+    return ((values << 1) ^ (values >> 63)).astype(np.uint64)
+
+
+def unzigzag(values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`zigzag`."""
+    values = np.asarray(values, dtype=np.uint64)
+    return ((values >> np.uint64(1)).astype(np.int64)) ^ -(
+        (values & np.uint64(1)).astype(np.int64)
+    )

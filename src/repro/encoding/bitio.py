@@ -9,9 +9,8 @@ Two families live here:
   byte-at-a-time implementation is kept as :class:`ScalarBitWriter`, the
   cross-checked reference.
 * ``pack_varlen`` / ``unpack_varlen`` / ``read_bits_at`` — NumPy-vectorized
-  bulk primitives.  All variable-length coders in :mod:`repro.encoding`
-  (Huffman, Rice, DEFLATE) and the ZFP-like bit-plane coder are built on
-  these.
+  bulk primitives.  The Huffman coder in :mod:`repro.encoding` and the
+  ZFP-like bit-plane coder are built on these.
 
 Bit order is MSB-first within the stream: the first bit written becomes the
 most significant bit of the first byte.  All vectorized routines agree with

@@ -178,8 +178,7 @@ class ArithmeticEntropyCoder:
         code_hist: np.ndarray | None = None,
     ) -> EntropyPayload:
         from repro.core.quantizer import interval_radius
-        from repro.encoding.arithmetic import encode_symbols
-        from repro.encoding.rice import zigzag
+        from repro.encoding.arithmetic import encode_symbols, zigzag
 
         radius = interval_radius(interval_bits)
         mapped = np.where(
@@ -194,8 +193,7 @@ class ArithmeticEntropyCoder:
         self, payload: EntropyPayload, *, expected: int, interval_bits: int
     ) -> np.ndarray:
         from repro.core.quantizer import interval_radius
-        from repro.encoding.arithmetic import decode_symbols
-        from repro.encoding.rice import unzigzag
+        from repro.encoding.arithmetic import decode_symbols, unzigzag
 
         if payload.raw is None:
             raise ValueError("arithmetic payload lost its byte stream")

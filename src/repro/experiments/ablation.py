@@ -113,7 +113,7 @@ def run_entropy(scale: str = "small", seed: int = 0, rel_bound: float = 1e-4) ->
         data, mode="rel", bound=rel_bound, lossless_post=True
     )
     table.add(
-        stage="Huffman + DEFLATE post-pass",
+        stage="Huffman + zlib post-pass",
         bytes=stats_p.compressed_bytes,
         cf=round(stats_p.compression_factor, 2),
     )

@@ -159,6 +159,17 @@ class TestSZConfigRoundTrips:
         with pytest.raises(ValueError):
             SZConfig.from_dict(spec)
 
+    @pytest.mark.parametrize("text", [
+        '{"mode": "abs", "bound": NaN}',
+        '{"mode": "rel", "bound": Infinity}',
+        '{"mode": "rel", "bound": 1e-3, "abs_bound": NaN}',
+    ])
+    def test_non_finite_json_bounds_rejected(self, text):
+        """Python's json module parses NaN/Infinity; they must not
+        become a config that only fails later, inside compress."""
+        with pytest.raises(ValueError, match="finite"):
+            SZConfig.from_json(text)
+
 
 class TestReplace:
     def test_bound_sweep_keeps_mode(self):

@@ -147,6 +147,58 @@ class TestGzipLike:
         g = GzipLike()
         np.testing.assert_array_equal(g.decompress(g.compress(data)), data)
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (4, 0, 3)])
+    def test_empty_and_single_element(self, shape):
+        """A zero-byte payload inflates to exactly zero bytes."""
+        data = np.full(shape, 1.5, dtype=np.float32)
+        g = GzipLike()
+        out = g.decompress(g.compress(data))
+        assert out.shape == shape and out.dtype == np.float32
+        np.testing.assert_array_equal(out, data)
+
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_roundtrip_property(self, dtype, shape, data):
+        """Every bit pattern (NaN payloads, infinities, signed zeros)
+        comes back bit for bit."""
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
+        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        g = GzipLike()
+        out = g.decompress(g.compress(arr))
+        assert out.shape == arr.shape and out.dtype == arr.dtype
+        assert out.tobytes() == raw
+
+    def test_every_prefix_raises_value_error(self, smooth2d):
+        g = GzipLike()
+        blob = g.compress(smooth2d[:8, :8])
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                g.decompress(blob[:cut])
+
+    def test_bad_dtype_code_raises_value_error(self, smooth2d):
+        g = GzipLike()
+        blob = bytearray(g.compress(smooth2d[:8, :8]))
+        blob[0] = 7
+        with pytest.raises(ValueError, match="dtype code"):
+            g.decompress(bytes(blob))
+
+    def test_bit_flips_never_decode_silently(self, smooth2d):
+        """The framing fixes the inflated length and zlib's Adler-32
+        covers the payload, so every flip is caught."""
+        g = GzipLike()
+        blob = g.compress(smooth2d[:8, :8])
+        flip_rng = np.random.default_rng(7)
+        for _ in range(100):
+            corrupt = bytearray(blob)
+            for bit in flip_rng.choice(8 * len(blob), 2, replace=False):
+                corrupt[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(ValueError):
+                g.decompress(bytes(corrupt))
+
 
 class TestISABELA:
     def test_bound_guarantee(self, rng):

@@ -62,6 +62,21 @@ class TestFromArgs:
         with pytest.raises(ValueError, match="psnr"):
             ErrorBound.from_args("psnr", bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    def test_abs_rel_bound_must_be_finite(self, mode, bad):
+        with pytest.raises(ValueError, match=f"{mode} bound"):
+            ErrorBound.from_args(mode, bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_pair_bounds_must_be_finite_in_either_slot(self, bad):
+        """The old check accepted NaN/inf in the pair; which slot held it
+        decided whether compress crashed or silently dropped it."""
+        with pytest.raises(ValueError, match="rel_bound"):
+            ErrorBound.from_args(abs_bound=1e-3, rel_bound=bad)
+        with pytest.raises(ValueError, match="abs_bound"):
+            ErrorBound.from_args(abs_bound=bad, rel_bound=1e-3)
+
     def test_nonpositive_legacy_bounds_raise(self):
         with pytest.raises(ValueError):
             ErrorBound.from_args(abs_bound=0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import compress, container_info
+from repro.core.lossless_post import is_wrapped
 
 
 class TestContainerInfo:
@@ -26,13 +27,15 @@ class TestContainerInfo:
     def test_variant_flags(self, smooth2d):
         small = smooth2d[:16, :16]
         blob = compress(
-            small, mode="rel", bound=1e-2, entropy_coder="arithmetic",
+            small, mode="pw_rel", bound=1e-2, entropy_coder="arithmetic",
             lossless_post=True,
         )
         info = container_info(blob)
         assert info["entropy_coder"] == "arithmetic"
-        # post-wrap applies only if it shrinks; flag must agree with blob
-        assert info["lossless_post"] == (blob[:4] == b"SZPP")
+        assert info["mode"] == "pw_rel"
+        # pw_rel's side planes make the post-wrap pay off here
+        assert is_wrapped(blob)
+        assert info["lossless_post"] == is_wrapped(blob)
 
     def test_constant(self):
         blob = compress(np.full((8, 8), 2.5, dtype=np.float64), mode="abs", bound=0.1)

@@ -2,8 +2,9 @@
 
 Covers both generations: truncation of a v1 ('SZRP') container at every
 byte boundary, truncation of a tiled v2 ('SZRT') container at every
-section boundary, tile CRC mismatches, and the header fields an attacker
-(or a bad disk) can inflate into giant allocations.
+section boundary, tile CRC mismatches, the header fields an attacker
+(or a bad disk) can inflate into giant allocations, and the zlib
+``lossless_post`` wrapper ('SZPZ') around a v1 container.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from repro.chunked import (
     decompress_tiled,
 )
 from repro.chunked.format import TAIL_BYTES
-from repro.core import compress, decompress
+from repro.core import compress, container_info, decompress
+from repro.core.lossless_post import is_wrapped
 
 
 def _field(shape, seed=3):
@@ -179,3 +181,41 @@ class TestV2Truncation:
         for blob in (b"", b"SZRT", b"SZRT" + b"\x00" * 10):
             with pytest.raises(ValueError):
                 decompress_tiled(blob)
+
+
+class TestWrappedContainer:
+    """zlib's Adler-32 plus the recorded inner length turn every cut or
+    flipped ``lossless_post`` container into a clean ``ValueError``."""
+
+    @pytest.fixture(params=["abs", "pw_rel"])
+    def wrapped(self, request):
+        data = _field((16, 16, 16))
+        blob = compress(data, mode=request.param, bound=1e-3, lossless_post=True)
+        assert is_wrapped(blob)
+        return blob
+
+    def test_every_prefix_fails_cleanly(self, wrapped):
+        for cut in range(len(wrapped)):
+            with pytest.raises(ValueError):
+                decompress(wrapped[:cut])
+            with pytest.raises(ValueError):
+                container_info(wrapped[:cut])
+
+    def test_seeded_bit_flips_all_raise(self, wrapped):
+        flip_rng = np.random.default_rng(1)
+        for trial in range(200):
+            corrupt = bytearray(wrapped)
+            nbits = int(flip_rng.integers(1, 4))
+            for bit in flip_rng.choice(8 * len(wrapped), nbits, replace=False):
+                corrupt[bit // 8] ^= 1 << (bit % 8)
+            try:
+                decompress(bytes(corrupt))
+            except ValueError:
+                continue
+            pytest.fail(f"flip trial {trial} decoded silently")
+
+    def test_retired_szpp_wrapper_named(self, wrapped):
+        blob = b"SZPP" + wrapped[4:]
+        for read in (decompress, container_info):
+            with pytest.raises(ValueError, match="retired.*SZPP"):
+                read(blob)

@@ -6,14 +6,35 @@ additional lossless stage), implemented as opt-in flags.
 
 from __future__ import annotations
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compress, compress_with_stats, decompress
-from repro.core.lossless_post import is_wrapped, unwrap, wrap
-from repro.encoding.arithmetic import decode_symbols, encode_symbols
+from repro.core.lossless_post import inflate_exact, is_wrapped, unwrap, wrap
+from repro.encoding.arithmetic import (
+    decode_symbols,
+    encode_symbols,
+    unzigzag,
+    zigzag,
+)
+from repro.metrics import verify_bound
+
+
+class TestZigzag:
+    def test_known_values(self):
+        np.testing.assert_array_equal(
+            zigzag(np.array([0, -1, 1, -2, 2])), [0, 1, 2, 3, 4]
+        )
+
+    @given(st.lists(st.integers(-(2**40), 2**40), max_size=50))
+    def test_roundtrip(self, vals):
+        arr = np.array(vals, dtype=np.int64)
+        np.testing.assert_array_equal(unzigzag(zigzag(arr)), arr)
 
 
 class TestArithmeticCoder:
@@ -71,6 +92,15 @@ class TestLosslessPost:
         wrapped = wrap(blob)
         assert is_wrapped(wrapped)
         assert unwrap(wrapped) == blob
+        assert unwrap(memoryview(wrapped)) == blob
+
+    def test_wrapped_layout(self):
+        """Magic, then the inner length as 8 big-endian bytes, then zlib."""
+        blob = b"some container bytes " * 50
+        wrapped = wrap(blob)
+        assert wrapped[:4] == b"SZPZ"
+        assert int.from_bytes(wrapped[4:12], "big") == len(blob)
+        assert zlib.decompress(wrapped[12:]) == blob
 
     def test_plain_passthrough(self):
         blob = b"SZRP" + b"\x01" * 100
@@ -79,6 +109,54 @@ class TestLosslessPost:
     def test_incompressible_kept_plain(self, rng):
         blob = rng.integers(0, 256, 512, dtype=np.uint8).tobytes()
         assert wrap(blob) == blob  # wrapping would grow it
+
+    @given(st.binary(max_size=400), st.integers(0, 3))
+    def test_roundtrip_property(self, body, repeats):
+        """Wrapped or kept plain, any container comes back unchanged."""
+        blob = b"SZRP" + body * (1 + repeats)
+        packed = wrap(blob)
+        assert len(packed) <= len(blob)
+        assert is_wrapped(packed) == (packed != blob)
+        assert unwrap(packed) == blob
+
+
+class TestInflateExact:
+    def test_exact_roundtrip(self):
+        for raw in (b"", b"x", b"abc" * 1000):
+            assert inflate_exact(zlib.compress(raw), len(raw)) == raw
+
+    @pytest.mark.parametrize("n", [0, 2, 4, 10])
+    def test_wrong_length_rejected(self, n):
+        with pytest.raises(ValueError, match="exactly"):
+            inflate_exact(zlib.compress(b"abc"), n)
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError, match="exactly"):
+            inflate_exact(zlib.compress(b"abc") + b"\x00", 3)
+
+    def test_garbage_maps_to_value_error(self):
+        with pytest.raises(ValueError, match="corrupt zlib stream"):
+            inflate_exact(b"\xff" * 16, 3)
+
+    def test_impossible_length_rejected_before_inflating(self):
+        with pytest.raises(ValueError, match="cannot inflate"):
+            inflate_exact(zlib.compress(b"abc"), 2**70)
+
+    def test_bomb_stops_at_the_recorded_length(self):
+        """A stream of 16 MiB of zeros claiming 4 KiB never allocates
+        the 16 MiB: inflation stops at the claimed length."""
+        deflater = zlib.compressobj()
+        chunk = bytes(1 << 20)
+        bomb = b"".join(deflater.compress(chunk) for _ in range(16))
+        bomb += deflater.flush()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exactly"):
+                inflate_exact(bomb, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCompressorIntegration:
@@ -102,24 +180,31 @@ class TestCompressorIntegration:
             compress(smooth2d, mode="rel", bound=1e-3, entropy_coder="zstd")
 
     def test_lossless_post_roundtrip(self, smooth2d):
+        """pw_rel's sign and flag planes compress well, so this wraps."""
         blob, stats = compress_with_stats(
-            smooth2d, mode="rel", bound=1e-3, lossless_post=True
+            smooth2d, mode="pw_rel", bound=1e-3, lossless_post=True
         )
+        assert is_wrapped(blob)
+        assert stats.compressed_bytes == len(blob)
         out = decompress(blob)
-        eb = 1e-3 * float(smooth2d.max() - smooth2d.min())
-        assert np.abs(out - smooth2d).max() <= eb
+        plain = compress(smooth2d, mode="pw_rel", bound=1e-3)
+        np.testing.assert_array_equal(out, decompress(plain))
+        assert verify_bound(smooth2d, out, "pw_rel", 1e-3)["ok"]
 
-    def test_lossless_post_never_larger(self, smooth2d):
-        plain = len(compress(smooth2d, mode="rel", bound=1e-3))
-        post = len(compress(smooth2d, mode="rel", bound=1e-3, lossless_post=True))
-        assert post <= plain
+    @pytest.mark.parametrize("mode", ["rel", "pw_rel"])
+    def test_lossless_post_never_larger(self, smooth2d, mode):
+        plain = compress(smooth2d, mode=mode, bound=1e-3)
+        post = compress(smooth2d, mode=mode, bound=1e-3, lossless_post=True)
+        # zlib would grow the rel container, so it stays plain
+        assert is_wrapped(post) == (mode == "pw_rel")
+        assert len(post) <= len(plain)
 
     def test_combined_options(self, smooth2d):
         small = smooth2d[:20, :20]
         blob = compress(
-            small, mode="rel", bound=1e-2, entropy_coder="arithmetic",
+            small, mode="pw_rel", bound=1e-2, entropy_coder="arithmetic",
             lossless_post=True, layers=2,
         )
+        assert is_wrapped(blob)
         out = decompress(blob)
-        eb = 1e-2 * float(small.max() - small.min())
-        assert np.abs(out - small).max() <= eb
+        assert verify_bound(small, out, "pw_rel", 1e-2)["ok"]
