@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.core.adaptive import DEFAULT_THETA
 from repro.core.bounds import ErrorBound
+from repro.core.predictor import MAX_LAYERS
 from repro.encoding.coders import DEFAULT_ENTROPY_CODER, available_coders
 
 __all__ = ["SZConfig", "config_from"]
@@ -90,8 +91,9 @@ class SZConfig:
         a ``(mode, bound)`` pair such as ``("rel", 1e-4)``, or a spec
         dict (``{"mode": "rel", "bound": 1e-4}``).
     layers
-        Prediction layers ``n`` (paper Section III; best value is
-        data-dependent, see Table II).
+        Prediction layers ``n``, from 1 to
+        :data:`~repro.core.predictor.MAX_LAYERS` (4) (paper Section III;
+        best value is data-dependent, see Table II).
     interval_bits
         ``m``: the quantizer uses ``2^m - 1`` intervals.
     adaptive, theta
@@ -153,8 +155,10 @@ class SZConfig:
         set_(self, "theta", float(self.theta))
         set_(self, "adaptive", bool(self.adaptive))
         set_(self, "lossless_post", bool(self.lossless_post))
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if not 1 <= self.layers <= MAX_LAYERS:
+            raise ValueError(
+                f"layers must be in [1, {MAX_LAYERS}], got {self.layers}"
+            )
         if not 1 <= self.interval_bits <= _MAX_INTERVAL_BITS:
             raise ValueError(
                 f"interval_bits must be in [1, {_MAX_INTERVAL_BITS}], "

@@ -81,14 +81,8 @@ __all__ = [
 ]
 
 _MAX_INTERVAL_BITS = 16
-_PLAN_CACHE: OrderedDict[
-    tuple[tuple[int, ...], int, str], WavefrontPlan
-] = OrderedDict()
+_PLAN_CACHE: OrderedDict[tuple[tuple[int, ...], int], WavefrontPlan] = OrderedDict()
 _PLAN_CACHE_MAX = 32
-#: Cap on the *gather-table* memory pinned by cached plans.  Plans for
-#: large arrays carry tens of MB of precomputed index tables; the entry
-#: count alone would let the cache grow to GBs.
-_PLAN_CACHE_TABLE_BYTES_MAX = 256 * 1024 * 1024
 """LRU bound: a long-lived tiled job cycling through many (tile shape,
 layers) pairs must not grow the cache without limit; evicting the least
 recently used plan keeps the hot interior-tile shape resident."""
@@ -147,26 +141,13 @@ def _constant_ok(data: np.ndarray, mode: str) -> bool:
     return bool((bits == bits.flat[0]).all())
 
 
-def _get_plan(
-    shape: tuple[int, ...],
-    layers: int,
-    dtype: np.dtype | type = np.float64,
-) -> WavefrontPlan:
-    # The dtype is part of the plan's identity: it decides the working
-    # array's interior dtype (float32 vs float64), so reusing a plan
-    # across dtypes would silently fall back to the float64 interior.
-    key = (shape, layers, np.dtype(dtype).str)
+def _get_plan(shape: tuple[int, ...], layers: int) -> WavefrontPlan:
+    key = (shape, layers)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = WavefrontPlan(shape, layers, dtype)
+        plan = WavefrontPlan(shape, layers)
         _PLAN_CACHE[key] = plan
         while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-        while (
-            len(_PLAN_CACHE) > 1
-            and sum(p.table_bytes for p in _PLAN_CACHE.values())
-            > _PLAN_CACHE_TABLE_BYTES_MAX
-        ):
             _PLAN_CACHE.popitem(last=False)
     else:
         _PLAN_CACHE.move_to_end(key)
@@ -182,7 +163,7 @@ def _quantize_adaptive(
     theta: float,
 ) -> tuple[WavefrontResult, int, int]:
     """Wavefront quantization with the adaptive interval-count retry."""
-    plan = _get_plan(data.shape, layers, data.dtype)
+    plan = _get_plan(data.shape, layers)
     attempts = 0
     m = interval_bits
     while True:
@@ -654,7 +635,7 @@ def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
             unpred_recon = decode_unpredictable(
                 unpred_payload, header.unpred_count, header.eb_abs, inner_dtype
             )
-        plan = _get_plan(header.shape, header.layers, inner_dtype)
+        plan = _get_plan(header.shape, header.layers)
         radius = interval_radius(header.interval_bits)
         result = wavefront_decompress(
             codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype

@@ -24,6 +24,7 @@ from math import comb
 import numpy as np
 
 __all__ = [
+    "MAX_LAYERS",
     "prediction_stencil",
     "predict_from_original",
     "layer_counts",
@@ -31,10 +32,17 @@ __all__ = [
 ]
 
 
+MAX_LAYERS = 4
+"""Largest supported layer count ``n``: the deepest model the layers
+ablation evaluates (124 arms in 3-D).  The stencil has ``(n+1)^d - 1``
+arms, so an unchecked ``n`` read from a corrupt container would size a
+huge stencil."""
+
+
 @lru_cache(maxsize=None)
 def _stencil_cached(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 1:
-        raise ValueError(f"layer count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_LAYERS:
+        raise ValueError(f"layer count must be in [1, {MAX_LAYERS}], got {n}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     grids = np.meshgrid(*[np.arange(n + 1)] * d, indexing="ij")

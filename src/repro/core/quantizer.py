@@ -49,13 +49,13 @@ def num_intervals(interval_bits: int) -> int:
 
 
 def resolve_interior_dtype(out_dtype: np.dtype | type) -> np.dtype:
-    """Storage dtype of the padded working array for ``out_dtype`` data.
+    """Storage dtype of the wavefront plane buffers for ``out_dtype`` data.
 
     The quantization arithmetic always runs in float64, but every value
-    *stored* into the padded array has already been rounded through the
+    *stored* into a plane buffer has already been rounded through the
     output dtype (the reconstruction round-trip above, or the truncated
     unpredictable fallback).  For float32 output those values are exact
-    float32 numbers, so storing them as float32 and upcasting on gather
+    float32 numbers, so storing them as float32 and upcasting on read
     loses nothing — the prediction sums, bound checks and quantization
     codes are bit-identical while the working set halves.  Any other
     dtype (notably the float64 ``pw_rel`` log domain) keeps float64.

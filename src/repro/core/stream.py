@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bounds import CODE_MODES, MODE_CODES, MODED_MODES
+from repro.core.predictor import MAX_LAYERS
 from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.huffman import EncodedStream, HuffmanCodec
 from repro.perf import stage
@@ -214,6 +215,11 @@ def _read_container(
             raise ValueError("corrupt container: ndim must be >= 1")
         interval_bits = r.read(8)
         layers = r.read(8)
+        if not 1 <= layers <= MAX_LAYERS:
+            raise ValueError(
+                f"corrupt container: layers {layers} outside "
+                f"[1, {MAX_LAYERS}]"
+            )
         flags = r.read(8)
         shape = tuple(r.read(48) for _ in range(ndim))
         if any(s < 1 for s in shape):

@@ -2,35 +2,36 @@
 
 The paper's Algorithm 1 processes points in raster order; each prediction
 must use *preceding decompressed* values so the decompressor can replay
-it.  Every stencil offset ``(k1..kd)`` of the multilayer model satisfies
-``k1 + ... + kd >= 1``, so a point on the coordinate-sum hyperplane
-``s = i1 + ... + id`` depends only on hyperplanes ``< s``.  Processing
-hyperplanes in ascending order therefore produces *bit-identical* results
-to the sequential scan, while the work inside each hyperplane is a plain
-vectorized NumPy kernel — the idiomatic way to make a data-dependent scan
-fast in pure Python (vectorize the inner loop; keep the short loop
-outside).
+it.  Every stencil offset ``(k1..kd)`` of the ``n``-layer model satisfies
+``1 <= k1 + ... + kd <= n*d``, so a point on the coordinate-sum hyperplane
+``s = i1 + ... + id`` depends only on the ``n*d`` hyperplanes before it.
+Processing hyperplanes in ascending order therefore produces
+*bit-identical* results to the sequential scan, while the work inside each
+hyperplane is a plain vectorized NumPy kernel — the idiomatic way to make
+a data-dependent scan fast in pure Python (vectorize the inner loop; keep
+the short loop outside).
 
-Kernel-level optimizations, each pinned byte-identical by
-``tests/test_wavefront_identity.py`` against the scalar reference:
+The N-d kernels build no index array; ``tests/test_wavefront_identity.py``
+pins them byte-identical to the scalar reference:
 
-* **wavefront-order storage + grouped flat-index tables** — instead of a
-  padded d-dimensional working array (which forces a fancy-index scatter
-  per plane), reconstructions live in a flat array in wavefront order
-  with one extra leading slot holding the padding zero.  Writing a
-  finished plane is then a contiguous slice store, and
-  :class:`WavefrontPlan` precomputes one contiguous ``(arms, plane)``
-  int64 gather table per hyperplane so the hot loop issues a single
-  ``take`` per plane.  The tables persist with the plan in the
-  compressor's plan cache.
-* **reduced-footprint interior** — the working array stores ``float32``
-  when :func:`repro.core.quantizer.resolve_interior_dtype` decides the
-  input dtype allows it.  Every stored value has already been rounded
-  through the output dtype, so the float32 store is exact and the
-  float64 upcast on gather reproduces the full-precision arithmetic bit
-  for bit; anything else falls back to float64.
+* **sheared planes** — every hyperplane is one slice of a single strided
+  view of the raster over free coordinates that imply one axis's
+  coordinate (see :class:`WavefrontPlan`): the compressor reads its
+  inputs, and the decompressor writes its output, through it.  A plane's
+  points fill a *band* of its bounding box (all of it in 2-D); box cells
+  outside the band compute garbage that is never stored.
+* **a ring of plane buffers** — the last ``n*d`` reconstructed planes
+  live in ``n*d + 1`` zero-bordered buffers, so each stencil arm is a
+  shifted, row-contiguous slice of one buffer and the zero border is the
+  prologue.
+* **wavefront order** — codes and unpredictable values leave a plane by
+  a boolean compress over its band: C order over the free coordinates,
+  which is exactly a stable sort of the raster by coordinate sum.
+* **an interior that follows the data** — float32 data keeps float32
+  plane buffers.  Every stored value has already been rounded through
+  float32, so the float64 arithmetic upcasts each arm exactly.
 * **scratch-buffer reuse** — per-plane temporaries are preallocated at
-  the maximum plane size and every ufunc writes through ``out=``; the
+  the largest box and every ufunc writes through ``out=``; the
   accumulation *order* of the prediction sum is preserved exactly
   (including the ``+0.0`` start that normalizes signed zeros).
 
@@ -43,8 +44,12 @@ handles ``d == 1``.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import cycle
+from math import prod
+from typing import Any
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.predictor import prediction_stencil, unit_coeff_signs
 from repro.core.quantizer import UNPREDICTABLE, resolve_interior_dtype
@@ -53,9 +58,7 @@ from repro.perf import stage
 
 __all__ = ["WavefrontPlan", "wavefront_compress", "wavefront_decompress"]
 
-#: Upper bound on precomputed gather-table memory per plan.  Beyond this
-#: the kernels rebuild each plane's indices on the fly (identical output,
-#: slightly slower) instead of pinning hundreds of MB in the plan cache.
+#: Read only by the benchmark in ``perfbench/``; no gather table is built.
 _TABLE_BYTES_MAX = 128 * 1024 * 1024
 
 
@@ -63,151 +66,216 @@ class WavefrontResult:
     """Everything the container needs, plus compression diagnostics.
 
     ``decompressed`` — the exact array a decompressor will reconstruct —
-    is materialized lazily from the wavefront-order working array: the
-    plain ``abs``/``rel`` encode path never reads it, while ``pw_rel`` /
+    is scattered from wavefront to raster order on first use: the plain
+    ``abs``/``rel`` encode path never reads it, while ``pw_rel`` /
     ``psnr`` verification does.
     """
 
-    __slots__ = (
-        "codes", "unpredictable", "hit_rate",
-        "_decompressed", "_dec_wf", "_plan", "_out_dtype",
-    )
+    __slots__ = ("codes", "unpredictable", "hit_rate", "_recon", "_plan")
 
     def __init__(
         self,
         codes: np.ndarray,
         unpredictable: np.ndarray,
-        decompressed: np.ndarray | None,
         hit_rate: float,
-        *,
-        dec_wf: np.ndarray | None = None,
-        plan: WavefrontPlan | None = None,
-        out_dtype: np.dtype | None = None,
+        recon: np.ndarray,
+        plan: WavefrontPlan | None,
     ) -> None:
         self.codes = codes
         self.unpredictable = unpredictable
         self.hit_rate = hit_rate
-        self._decompressed = decompressed
-        self._dec_wf = dec_wf
+        self._recon = recon  # in wavefront order while a plan is attached
         self._plan = plan
-        self._out_dtype = out_dtype
 
     @property
     def decompressed(self) -> np.ndarray:
-        if self._decompressed is None:
-            self._decompressed = _wavefront_to_raster(
-                self._dec_wf, self._plan, self._out_dtype
-            )
-            self._dec_wf = None  # free the working copy
-        return self._decompressed
-
-
-def _wavefront_to_raster(
-    dec_wf: np.ndarray, plan: WavefrontPlan, out_dtype: np.dtype
-) -> np.ndarray:
-    """Scatter the wavefront-order reconstruction back to raster order."""
-    out = np.empty(plan.order.size, dtype=dec_wf.dtype)
-    out[plan.order] = dec_wf[1:]
-    return out.reshape(plan.shape).astype(out_dtype)
+        if self._plan is not None:
+            self._recon = self._plan.to_raster(self._recon)
+            self._plan = None
+        return self._recon
 
 
 class WavefrontPlan:
-    """Precomputed traversal order and stencil geometry for one shape.
+    """Hyperplane geometry of the sheared wavefront for one array shape.
 
-    Plans are cheap relative to compression and cacheable per
-    ``(shape, n, dtype)`` — the dtype is part of the identity because the
-    plan fixes the working array's ``interior_dtype``; the compressor
-    keeps a small cache keyed accordingly.
+    Each plane implies the coordinate of one axis, ``moving``, from its
+    free coordinates: ``i_a`` for the axes before it and, for each later
+    axis ``a``, ``sum_(k>a) (N_k - 1 - i_k)``.  Each is a prefix sum of
+    the coordinates plus a per-plane constant, so C order over them is
+    wavefront order.  The plan implies the axis whose boxes hold the
+    fewest cells: the last one, unless it is short (an ``(H, W, 3)``
+    field implies ``W``), which keeps each box near its band.
+
+    Per plane ``s`` it keeps its range in wavefront order (``groups``),
+    its bounding box over the free coordinates (``boxes``) and, in 3-D
+    and up, which box cells are points (``bands``).  A plan depends only
+    on ``(shape, n)``; the compressor caches plans by that key.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, ...],
-        n: int,
-        dtype: np.dtype | type = np.float64,
-    ) -> None:
+    #: Kept only because the benchmark in ``perfbench/`` reads them; no
+    #: gather table exists.
+    gather_tables = None
+    table_bytes = 0
+
+    def __init__(self, shape: tuple[int, ...], n: int) -> None:
         if any(s <= 0 for s in shape):
             raise ValueError(f"degenerate shape: {shape}")
         self.shape = tuple(int(s) for s in shape)
         self.n = int(n)
-        self.ndim = len(self.shape)
-        self.dtype = np.dtype(dtype)
-        self.interior_dtype = resolve_interior_dtype(self.dtype)
-        offsets, coeffs = prediction_stencil(self.n, self.ndim)
-        self.coeffs = coeffs
-        self.signs = unit_coeff_signs(coeffs)
-        self.padded_shape = tuple(s + self.n for s in self.shape)
-        self.gather_tables: list[np.ndarray] | None = None
-        self.table_bytes = 0
-        if self.ndim == 1:
-            # 1-D uses the dedicated scalar kernels; no traversal tables.
-            self.deltas = np.zeros(0, dtype=np.int64)
-            self.order = np.arange(self.shape[0], dtype=np.int64)
-            self.groups: list[tuple[int, int]] = []
-            self.pad_flat = np.zeros(0, dtype=np.int64)
-            self.wf_pos = np.zeros(0, dtype=np.int64)
-            self.max_group = 0
-            return
-        # C-order element strides of the padded index space.
-        pad_strides = np.ones(self.ndim, dtype=np.int64)
-        for axis in range(self.ndim - 2, -1, -1):
-            pad_strides[axis] = pad_strides[axis + 1] * self.padded_shape[axis + 1]
-        # Flat-index displacement in padded space for each stencil arm.
-        self.deltas = offsets @ pad_strides
-        # Traversal: stable sort of flat indices by coordinate sum.
-        coord_sum = reduce(
-            np.add.outer, [np.arange(s, dtype=np.int32) for s in self.shape]
-        ).ravel()
-        self.order = np.argsort(coord_sum, kind="stable")
-        sums = coord_sum[self.order]
-        max_sum = int(sums[-1])
-        bounds = np.searchsorted(sums, np.arange(max_sum + 2))
-        self.groups = [
-            (int(bounds[s]), int(bounds[s + 1])) for s in range(max_sum + 1)
-        ]
-        self.max_group = max(e - s for s, e in self.groups)
-        # Padded flat index of every point, in wavefront order.
-        coords = np.unravel_index(self.order, self.shape)
-        n_points = self.order.size
-        pad_flat = np.zeros(n_points, dtype=np.int64)
-        for axis in range(self.ndim):
-            pad_flat += (coords[axis].astype(np.int64) + self.n) * pad_strides[axis]
-        self.pad_flat = pad_flat
-        # Map padded flat index -> wavefront storage slot.  Slot 0 of the
-        # working array is the permanent padding zero; data points live at
-        # wavefront position + 1.
-        padded_size = 1
-        for s in self.padded_shape:
-            padded_size *= s
-        wf_pos = np.zeros(padded_size, dtype=np.int64)
-        wf_pos[pad_flat] = np.arange(1, n_points + 1, dtype=np.int64)
-        self.wf_pos = wf_pos
-        self._build_gather_tables()
+        self.ndim = d = len(self.shape)
+        self.offsets, self.coeffs = prediction_stencil(self.n, self.ndim)
+        # Each arm's (coefficient, accumulate op).  An all-±1 stencil
+        # (n == 1) adds or subtracts its arms; c * arm with c = ±1.0 is
+        # bitwise ±arm, so skipping the multiply is exact.
+        signs = unit_coeff_signs(self.coeffs)
+        self.terms: list[tuple[float | None, np.ufunc]] = (
+            [(float(c), np.add) for c in self.coeffs] if signs is None
+            else [(None, np.add if sg > 0 else np.subtract) for sg in signs]
+        )
+        self.groups: list[tuple[int, int]] = []
+        if d == 1:
+            return  # 1-D uses the dedicated scalar kernels
+        top = sum(self.shape) - d
+        # Points per hyperplane: the coefficients of the polynomial
+        # prod_j (1 + x + ... + x^(N_j - 1)).
+        counts = reduce(
+            np.convolve, [np.ones(s, dtype=np.int64) for s in self.shape]
+        )
+        ends = np.cumsum(counts, dtype=np.int64).tolist()
+        self.groups = list(zip([0] + ends[:-1], ends))
+        # On plane s an earlier axis spans [s - top + N_a - 1, s] and a
+        # later one [tail_a - s, top - s], clipped to [0, N_a - 1] and
+        # [0, tail_a], where tail_a = sum_(k>a) (N_k - 1).
+        tail = [sum(self.shape[a + 1:]) - (d - 1 - a) for a in range(d)]
+        s = np.arange(top + 1, dtype=np.int64)
+        lead = [(np.maximum(0, s - top + N - 1), np.minimum(N, s + 1))
+                for N in self.shape[:-1]]
+        trail = [(np.maximum(0, t - s), np.minimum(t, top - s) + 1)
+                 for t in tail[:-1]]
+        # Box cells per plane when axis m is implied (axis 0 would give
+        # axis 1's boxes).
+        sizes = {
+            m: np.prod([hi - lo for lo, hi in lead[:m] + trail[m:]],
+                       axis=0, dtype=np.int64)
+            for m in range(d - 1, 0, -1)
+        }
+        # Fewest box cells; ties keep the later axis (no band mask in 2-D).
+        self.moving = mv = min(
+            sizes, key=lambda m: int(sizes[m].sum(dtype=np.int64))
+        )
+        self.max_box = int(sizes[mv].max())
+        self.extent = [*self.shape[:mv], *(t + 1 for t in tail[mv:-1])]
+        self.boxes = list(zip(*[map(slice, lo.tolist(), hi.tolist())
+                                for lo, hi in lead[:mv] + trail[mv:]]))
+        # Where plane s's box sits in a sheared view.
+        self._cells = [(p, *box) for p, box in enumerate(self.boxes)]
+        self.bands: list[np.ndarray | None] = [None] * (top + 1)
+        if d > 2:
+            self.bands = self._build_bands(top, tail[mv])
 
-    def _build_gather_tables(self) -> None:
-        """Precompute one contiguous gather table per hyperplane.
+    def _build_bands(self, top: int, tail: int) -> list[np.ndarray]:
+        """Per plane, which box cells are points.
 
-        ``gather_tables[g][k, i]`` is the wavefront-storage slot of
-        stencil arm ``k`` for the ``i``-th point of hyperplane ``g`` —
-        int64 indices ``take`` consumes directly (int64 *is* the fast
-        path: smaller index dtypes get converted per call).  Skipped when
-        the tables would exceed the memory budget; the kernels then fall
-        back to :meth:`plane_table` per plane.
+        Cell ``c`` of plane ``s`` has moving coordinate ``s - tail - L(c)``
+        (``tail`` sums ``N_k - 1`` over the later axes) for a linear ``L``
+        with coefficient 1 before ``moving``, -1 on the first later axis
+        and 0 after it, so one 1-D mask over ``L(c) - s``, viewed with
+        those strides, covers every plane in O(sum of the axes) bytes.
+        Two or more later axes add a fixed mask: ``N_k - 1 - i_k`` is a
+        difference of free coordinates.
         """
-        arms = int(self.deltas.size)
-        total = arms * self.pad_flat.size * 8
-        if total > _TABLE_BYTES_MAX:
-            return
-        neighbour_flat = self.pad_flat[None, :] - self.deltas[:, None]
-        slots = self.wf_pos[neighbour_flat]
-        self.gather_tables = [
-            np.ascontiguousarray(slots[:, s:e]) for s, e in self.groups
-        ]
-        self.table_bytes = total
+        d, mv, ext = self.ndim, self.moving, self.extent
+        coef = [1] * mv + [-1] * (mv < d - 1) + [0] * (d - 2 - mv)
+        lmin = sum(min(0, c * (e - 1)) for c, e in zip(coef, ext))
+        lmax = sum(max(0, c * (e - 1)) for c, e in zip(coef, ext))
+        # Entry u of the mask stands for L(c) - s = u - top + lmin.
+        implied = top - lmin - tail - np.arange(
+            lmax - lmin + top + 1, dtype=np.int64
+        )
+        mask = (implied >= 0) & (implied < self.shape[mv])
+        view = as_strided(
+            mask[top - lmin:], shape=(top + 1, *ext), strides=(-1, *coef),
+            writeable=False,
+        )
+        if mv >= d - 2:
+            return [view[cells] for cells in self._cells]
+        # Later axes a-1, a: N_a - 1 - i_a = c_(a-1) - c_a must be in range.
+        fixed = np.ones(ext[mv:], dtype=bool)
+        free = np.ix_(*[np.arange(e) for e in ext[mv:]])
+        for a in range(mv + 1, d - 1):
+            r = free[a - 1 - mv] - free[a - mv]
+            fixed &= (r >= 0) & (r < self.shape[a])
+        return [view[cells] & fixed[cells[1 + mv:]] for cells in self._cells]
 
-    def plane_table(self, start: int, end: int) -> np.ndarray:
-        """Gather table for one hyperplane, built on the fly (fallback)."""
-        return self.wf_pos[self.pad_flat[start:end] - self.deltas[:, None]]
+    def sheared(self, flat: np.ndarray, writeable: bool = False) -> np.ndarray:
+        """The ``(planes, *extent)`` view of a flat C-order raster.
+
+        Entry ``[s, c]`` is the point of plane ``s`` with free coordinates
+        ``c``.  The flat index is affine in ``(s, c)`` and grows with
+        every free coordinate, and both corners of each plane's box lie
+        inside the raster, so every box cell does, band or not.
+        """
+        d, mv, item = self.ndim, self.moving, flat.itemsize
+        stride = [prod(self.shape[a + 1:]) for a in range(d)]
+        # Built with the later axes reversed (free coordinate
+        # sum_(k>a) i_k, which puts entry [0, 0, ...] at raster index 0),
+        # then flipped back.
+        view = as_strided(
+            flat, shape=(len(self.groups), *self.extent),
+            strides=[item * stride[mv]]
+            + [item * (stride[a] - stride[mv]) for a in range(mv)]
+            + [item * (stride[a + 1] - stride[a]) for a in range(mv, d - 1)],
+            writeable=writeable,
+        )
+        return view[(slice(None),) * (mv + 1)
+                    + (slice(None, None, -1),) * (d - 1 - mv)]
+
+    def ring(self, dtype: np.dtype) -> list[tuple[np.ndarray, list[Any]]]:
+        """Zeroed plane buffers for one kernel run.
+
+        Returns, per ring phase ``s % (n*d + 1)``, the view plane ``s``
+        writes and its stencil terms ``(coefficient, op, arm view)`` in
+        stencil order.  Indexing a view with ``boxes[s]`` gives plane
+        ``s``'s cells.  An arm moves an axis before ``moving`` down by
+        its offset and a later axis up by the offsets after it, so the
+        zero border sits below the former and above the latter.  Only
+        band cells are written, so an arm reaching outside the array
+        reads zero: it lands in the border or on a cell no plane wrote
+        (later axes' ranges do not depend on the plane, and a buffer
+        cell's moving coordinate only grows from plane to plane).
+        """
+        n, d, mv = self.n, self.ndim, self.moving
+        depth = n * d + 1
+        border = [n] * mv + [n * (d - 1 - a) for a in range(mv, d - 1)]
+        bufs = [np.zeros([e + b for e, b in zip(self.extent, border)],
+                         dtype=dtype)
+                for _ in range(depth)]
+        own = (slice(n, None),) * mv + (slice(0, None),) * (d - 1 - mv)
+        reach = self.offsets.sum(axis=1, dtype=np.int64).tolist()
+        starts = [
+            [n - k for k in ks[:mv]]
+            + [sum(ks[a + 1:]) for a in range(mv, d - 1)]
+            for ks in self.offsets.tolist()
+        ]
+        return [
+            (bufs[p][own],
+             [(c, op, bufs[(p - r) % depth][tuple(slice(k, None) for k in ks)])
+              for (c, op), ks, r in zip(self.terms, starts, reach)])
+            for p in range(depth)
+        ]
+
+    def to_raster(self, values: np.ndarray) -> np.ndarray:
+        """Scatter a wavefront-order array (codes, values) to raster order."""
+        if self.ndim == 1:
+            return values.reshape(self.shape)
+        out = np.empty(self.shape, dtype=values.dtype)
+        view = self.sheared(out.reshape(-1), writeable=True)
+        for cells, band, (start, end) in zip(self._cells, self.bands, self.groups):
+            if band is None:
+                view[cells] = values[start:end]
+            else:
+                view[cells][band] = values[start:end]
+        return out
 
 
 def wavefront_compress(
@@ -225,18 +293,6 @@ def wavefront_compress(
         return _wavefront_compress(data, eb, plan, radius)
 
 
-def _effective_interior(plan: WavefrontPlan, out_dtype: np.dtype) -> np.dtype:
-    """Interior dtype actually used by a kernel run.
-
-    The plan's ``interior_dtype`` applies only when the plan was built
-    for this output dtype; a mismatched plan (possible when callers
-    construct plans directly) falls back to float64, which is always
-    byte-identical.
-    """
-    want = resolve_interior_dtype(out_dtype)
-    return want if plan.interior_dtype == want else np.dtype(np.float64)
-
-
 def _wavefront_compress(
     data: np.ndarray,
     eb: float,
@@ -246,111 +302,102 @@ def _wavefront_compress(
     if data.ndim == 1:
         return _compress_1d(data, eb, plan.n, radius)
     out_dtype = data.dtype
-    idt = _effective_interior(plan, out_dtype)
-    store_f32 = idt == np.float32
-    f32_out = out_dtype == np.float32
-    values_orig_wf = data.reshape(-1).take(plan.order)
-    values_wf = (
-        values_orig_wf
-        if out_dtype == np.float64
-        else values_orig_wf.astype(np.float64)
-    )
-    n_points = values_wf.size
-    dec_wf = np.zeros(n_points + 1, dtype=idt)  # slot 0: padding zero
+    idt = resolve_interior_dtype(out_dtype)
+    src = plan.sheared(np.ascontiguousarray(data).reshape(-1))
+    n_points = data.size
+    dec_wf = np.empty(n_points, dtype=idt)
     # Deferred code materialization: raw quantization offsets and the
     # predictable mask accumulate per plane; one vectorized epilogue
     # turns them into codes (cheaper than per-plane int casts).
     qall = np.empty(n_points, dtype=np.float64)
     ok_all = np.empty(n_points, dtype=bool)
     unpred_chunks: list[np.ndarray] = []
-    coeffs, signs, tables = plan.coeffs, plan.signs, plan.gather_tables
-    # Finiteness of the whole field in two reductions (min/max are NaN-
-    # and Inf-poisoning), avoiding the full isfinite mask when clean.
-    vmin, vmax = values_wf.min(), values_wf.max()
-    all_finite = bool(np.isfinite(vmin)) and bool(np.isfinite(vmax))
-    finite_wf = None if all_finite else np.isfinite(values_wf)
+    wide = np.float64 if idt == np.float32 else None
     two_eb = 2.0 * eb
     fradius = float(radius)
-    # Scratch buffers at the maximum plane size; every per-plane ufunc
-    # writes through out= into contiguous views of these.
-    msize = plan.max_group
-    pred_s = np.empty(msize, dtype=np.float64)
-    tmp_s = np.empty(msize, dtype=np.float64)
-    diff_s = np.empty(msize, dtype=np.float64)
-    mask_s = np.empty(msize, dtype=bool)
-    rc_s = np.empty(msize, dtype=np.float32) if f32_out else None
+    # Scratch buffers at the largest box; every per-plane ufunc writes
+    # through out= into a contiguous view of these, shaped like the box.
+    size = plan.max_box
+    pred_s = np.empty(size, dtype=np.float64)
+    tmp_s = np.empty(size, dtype=np.float64)
+    diff_s = np.empty(size, dtype=np.float64)
+    mask_s = np.empty(size, dtype=bool)
+    if plan.ndim > 2:  # band planes stage their results in the box
+        q_s = np.empty(size, dtype=np.float64)
+        ok_s = np.empty(size, dtype=bool)
+        rc_s = np.empty(size, dtype=idt)
+    planes = zip(
+        plan.groups, plan.boxes, plan._cells, plan.bands, cycle(plan.ring(idt))
+    )
     with np.errstate(invalid="ignore", over="ignore"):
-        for gi, (start, end) in enumerate(plan.groups):
-            m = end - start
-            tab = tables[gi] if tables is not None else plan.plane_table(start, end)
-            gathered = dec_wf.take(tab)
-            nbr = gathered.astype(np.float64) if store_f32 else gathered
-            pred = pred_s[:m]
-            pred.fill(0.0)
-            if signs is not None:
-                # All-±1 stencil (n == 1): pure adds/subtracts, starting
-                # from true zero — bit-identical to `pred += c * arm`.
-                for k in range(len(signs)):
-                    if signs[k] > 0:
-                        np.add(pred, nbr[k], out=pred)
-                    else:
-                        np.subtract(pred, nbr[k], out=pred)
+        for (start, end), box, cells, band, (own_box, terms) in planes:
+            if band is None:  # 2-D: the box is the plane, no reshape
+                m = end - start
+                pred, diff = pred_s[:m], diff_s[:m]
+                err, bounded = tmp_s[:m], mask_s[:m]
+                qoff = qall[start:end]
+                ok = ok_wf = ok_all[start:end]
+                recon = own_box[box]
             else:
-                tmp = tmp_s[:m]
-                for k in range(len(coeffs)):
-                    np.multiply(nbr[k], coeffs[k], out=tmp)
-                    np.add(pred, tmp, out=pred)
+                shape, m = band.shape, band.size
+                pred = pred_s[:m].reshape(shape)
+                diff = diff_s[:m].reshape(shape)
+                err = tmp_s[:m].reshape(shape)
+                bounded = mask_s[:m].reshape(shape)
+                qoff = q_s[:m].reshape(shape)
+                ok = ok_s[:m].reshape(shape)
+                recon = rc_s[:m].reshape(shape)
+            # Prediction: the stencil sum in stencil order, starting from
+            # +0.0 (the first term takes the scalar) — bit-identical to
+            # `pred = 0; pred += c * arm` for every arm.
+            acc = 0.0
+            for c, op, arm in terms:
+                nbr = arm[box]
+                if c is not None:
+                    nbr = np.multiply(nbr, c, out=err, dtype=np.float64)
+                acc = op(acc, nbr, out=pred)
             # Inlined error-controlled quantization (same operations, in
             # the same order, as repro.core.quantizer.quantize — kept
             # bit-identical; pinned by tests/test_wavefront_identity.py).
-            x = values_wf[start:end]
-            qoff = qall[start:end]
-            diff = diff_s[:m]
+            x = src[cells]
             np.subtract(x, pred, out=diff)
             np.divide(diff, two_eb, out=diff)
             np.rint(diff, out=qoff)
-            ok = ok_all[start:end]
             np.abs(qoff, out=diff)
             np.less(diff, fradius, out=ok)  # ok = within the code range
             np.multiply(qoff, two_eb, out=diff)
-            np.add(pred, diff, out=diff)  # diff = recon, pre-rounding
-            if f32_out:
-                rc = rc_s[:m]
-                rc[...] = diff  # round through the output dtype
-                recon = rc
-            else:
-                recon = diff  # float64 out: rounding is the identity
-            err = tmp_s[:m]
-            np.subtract(x, recon, out=err)  # f32 operand upcasts exactly
+            # recon = pred + offset, rounded through the interior dtype
+            # (the output dtype for float32 data; identity for float64).
+            np.add(pred, diff, out=recon)
+            # float32 x and recon would subtract in float32; upcast both.
+            np.subtract(x, recon, out=err, dtype=wide)
             np.abs(err, out=err)
-            bounded = mask_s[:m]
+            # |x - recon| <= eb also rejects non-finite x and recon.
             np.less_equal(err, eb, out=bounded)
             np.logical_and(ok, bounded, out=ok)
-            # |x - recon| <= eb already implies recon (and x) finite; only
-            # a field with non-finite values needs the explicit mask.
-            if finite_wf is not None:
-                np.logical_and(ok, finite_wf[start:end], out=ok)
-            if f32_out and not store_f32:
-                # Fallback (plan built for another dtype): float64 working
-                # array holding values rounded through float32.
-                recon = diff
-                recon[...] = rc
-            if not ok.all():
-                miss = mask_s[:m]
+            if band is not None:
+                qall[start:end] = qoff[band]
+                ok_wf = ok_all[start:end]
+                ok_wf[...] = ok[band]
+            if not ok_wf.all():
+                miss = bounded
                 np.logical_not(ok, out=miss)
-                originals = values_orig_wf[start:end][miss]
+                if band is not None:
+                    np.logical_and(miss, band, out=miss)
+                originals = x[miss]
                 unpred_chunks.append(originals)
                 recon[miss] = truncate_to_bound(originals, eb)
-            dec_wf[1 + start : 1 + end] = recon
+            if band is None:
+                dec_wf[start:end] = recon
+            else:
+                np.copyto(own_box[box], recon, where=band)
+                dec_wf[start:end] = recon[band]
 
     codes, unpredictable = _materialize_codes(
         qall, ok_all, unpred_chunks, fradius, out_dtype
     )
     hit_rate = 1.0 - unpredictable.size / max(1, n_points)
-    return WavefrontResult(
-        codes, unpredictable, None, hit_rate,
-        dec_wf=dec_wf, plan=plan, out_dtype=out_dtype,
-    )
+    return WavefrontResult(codes, unpredictable, hit_rate, dec_wf, plan)
 
 
 def _materialize_codes(
@@ -384,10 +431,8 @@ def wavefront_decompress(
     out_dtype: np.dtype,
 ) -> np.ndarray:
     """Replay prediction from codes; inverse of :func:`wavefront_compress`."""
-    n_out = 1
-    for s in plan.shape:
-        n_out *= s
-    with stage("dequantize", nbytes=n_out * np.dtype(out_dtype).itemsize):
+    nbytes = prod(plan.shape) * np.dtype(out_dtype).itemsize
+    with stage("dequantize", nbytes=nbytes):
         return _wavefront_decompress(
             codes, unpred_recon, plan, eb, radius, out_dtype
         )
@@ -406,68 +451,71 @@ def _wavefront_decompress(
             codes, unpred_recon, plan.shape[0], plan.n, eb, radius, out_dtype
         )
     out_dtype = np.dtype(out_dtype)
-    idt = _effective_interior(plan, out_dtype)
-    store_f32 = idt == np.float32
-    f32_out = out_dtype == np.float32
-    n_points = plan.order.size
-    dec_wf = np.zeros(n_points + 1, dtype=idt)
-    coeffs, signs, tables = plan.coeffs, plan.signs, plan.gather_tables
+    idt = resolve_interior_dtype(out_dtype)
     miss_all = codes == UNPREDICTABLE
     total_miss = int(miss_all.sum(dtype=np.int64))
     _check_unpred_count(total_miss, unpred_recon)
-    unpred_vals = (
-        unpred_recon
-        if unpred_recon.dtype == idt
-        else unpred_recon.astype(idt)
+    unpred_vals = unpred_recon.astype(idt, copy=False)
+    # Where each plane's unpredictable values start in unpred_vals.
+    per_plane = np.add.reduceat(
+        miss_all, [start for start, _ in plan.groups], dtype=np.int64
     )
-    upos = 0
+    upos = [0] + np.cumsum(per_plane, dtype=np.int64).tolist()
+    out = np.empty(plan.shape, dtype=out_dtype)
+    dst = plan.sheared(out.reshape(-1), writeable=True)
     two_eb = 2.0 * eb
     fradius = float(radius)
-    msize = plan.max_group
-    pred_s = np.empty(msize, dtype=np.float64)
-    tmp_s = np.empty(msize, dtype=np.float64)
-    work_s = np.empty(msize, dtype=np.float64)
-    rc_s = np.empty(msize, dtype=np.float32) if f32_out else None
-    for gi, (start, end) in enumerate(plan.groups):
-        m = end - start
-        tab = tables[gi] if tables is not None else plan.plane_table(start, end)
-        gathered = dec_wf.take(tab)
-        nbr = gathered.astype(np.float64) if store_f32 else gathered
-        pred = pred_s[:m]
-        pred.fill(0.0)
-        if signs is not None:
-            for k in range(len(signs)):
-                if signs[k] > 0:
-                    np.add(pred, nbr[k], out=pred)
+    size = plan.max_box
+    pred_s = np.empty(size, dtype=np.float64)
+    tmp_s = np.empty(size, dtype=np.float64)
+    work_s = np.empty(size, dtype=np.float64)
+    if plan.ndim > 2:
+        rc_s = np.empty(size, dtype=idt)
+        mask_s = np.empty(size, dtype=bool)
+    planes = zip(
+        plan.groups, plan.boxes, plan._cells, plan.bands, cycle(plan.ring(idt)),
+        upos[:-1], upos[1:],
+    )
+    # Box cells outside the band replay stale scratch values; whatever
+    # they overflow to is discarded.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (start, end), box, cells, band, (own_box, terms), u0, u1 in planes:
+            if band is None:  # 2-D: the box is the plane, no reshape
+                m = end - start
+                pred, tmp, work = pred_s[:m], tmp_s[:m], work_s[:m]
+                work[...] = codes[start:end]  # int64 -> float64 cast
+                recon = own_box[box]
+            else:
+                shape, m = band.shape, band.size
+                pred = pred_s[:m].reshape(shape)
+                tmp = tmp_s[:m].reshape(shape)
+                work = work_s[:m].reshape(shape)
+                recon = rc_s[:m].reshape(shape)
+                work[band] = codes[start:end]
+            acc = 0.0  # the compressor's prediction sum
+            for c, op, arm in terms:
+                nbr = arm[box]
+                if c is not None:
+                    nbr = np.multiply(nbr, c, out=tmp, dtype=np.float64)
+                acc = op(acc, nbr, out=pred)
+            np.subtract(work, fradius, out=work)
+            np.multiply(work, two_eb, out=work)
+            # recon = pred + offset, rounded through the interior dtype.
+            np.add(pred, work, out=recon)
+            if u0 != u1:
+                if band is None:
+                    recon[miss_all[start:end]] = unpred_vals[u0:u1]
                 else:
-                    np.subtract(pred, nbr[k], out=pred)
-        else:
-            tmp = tmp_s[:m]
-            for k in range(len(coeffs)):
-                np.multiply(nbr[k], coeffs[k], out=tmp)
-                np.add(pred, tmp, out=pred)
-        work = work_s[:m]
-        work[...] = codes[start:end]  # int64 -> float64 cast
-        np.subtract(work, fradius, out=work)
-        np.multiply(work, two_eb, out=work)
-        np.add(pred, work, out=work)  # work = recon, pre-rounding
-        if f32_out:
-            rc = rc_s[:m]
-            rc[...] = work  # round through the output dtype
-            recon = rc
-        else:
-            recon = work
-        if f32_out and not store_f32:
-            recon = work
-            recon[...] = rc
-        if total_miss:
-            mask = miss_all[start:end]
-            nmiss = int(mask.sum(dtype=np.int64))
-            if nmiss:
-                recon[mask] = unpred_vals[upos : upos + nmiss]
-                upos += nmiss
-        dec_wf[1 + start : 1 + end] = recon
-    return _wavefront_to_raster(dec_wf, plan, out_dtype)
+                    miss = mask_s[:m].reshape(shape)
+                    miss.fill(False)
+                    miss[band] = miss_all[start:end]
+                    recon[miss] = unpred_vals[u0:u1]
+            if band is None:
+                dst[cells] = recon
+            else:
+                np.copyto(own_box[box], recon, where=band)
+                np.copyto(dst[cells], recon, where=band)
+    return out
 
 
 def _check_unpred_count(n_miss: int, unpred_recon: np.ndarray) -> None:
@@ -520,9 +568,10 @@ def _compress_1d(
             truncate_to_bound(np.array([x], dtype=out_dtype), eb)[0]
         )
     unpredictable = data[np.array(unpred_idx, dtype=np.int64)] if unpred_idx else np.zeros(0, dtype=out_dtype)
-    decompressed = dec[n:].astype(out_dtype)
     hit_rate = 1.0 - len(unpred_idx) / max(1, N)
-    return WavefrontResult(codes, unpredictable, decompressed, hit_rate)
+    return WavefrontResult(
+        codes, unpredictable, hit_rate, dec[n:].astype(out_dtype), None
+    )
 
 
 def _decompress_1d(

@@ -249,17 +249,18 @@ def _measure_assembled(
     side = b""
     if mode == "pw_rel":
         logs, flags, signs = pw_precondition(block)
-        plan = _get_plan(logs.shape, config.layers, logs.dtype)
+        plan = _get_plan(logs.shape, config.layers)
         result = wavefront_compress(logs, eb, plan, radius)
         pw_apply_repairs(block, result.decompressed, flags, signs, bound)
         side = pw_encode_side(block, flags, signs)
         recon = pw_postcondition(result.decompressed, side, block.dtype)
     else:
-        plan = _get_plan(block.shape, config.layers, block.dtype)
+        plan = _get_plan(block.shape, config.layers)
         result = wavefront_compress(block, eb, plan, radius)
         recon = result.decompressed
 
-    codes = result.codes.reshape(block.shape)
+    # The kernel emits codes in wavefront order; regions slice rasters.
+    codes = plan.to_raster(result.codes)
     unpred_payload, _ = encode_unpredictable(result.unpredictable, eb)
     n_unpred_total = int(result.unpredictable.size)
     a = block.astype(np.float64)

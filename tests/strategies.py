@@ -21,12 +21,16 @@ __all__ = [
     "float_dtypes",
     "huffman_symbol_streams",
     "wavefront_arrays",
+    "wavefront_order",
 ]
 
-#: Curated shapes that stress the grouped wavefront dispatch: prime-length
-#: axes (maximally uneven hyperplane sizes), 1-wide slabs (degenerate
+#: Curated shapes that stress the sheared wavefront: prime-length axes
+#: (maximally uneven hyperplane sizes), 1-wide slabs (degenerate
 #: leading/trailing axes), shapes where every hyperplane is a single
-#: point, and the scalar 1-D kernel.
+#: point, a long first axis (many small planes), short trailing axes
+#: (the plan then implies an earlier axis from each plane), 4-D shapes
+#: whose plane boxes are 3-D bands (the plane-buffer ring is n*d + 1
+#: deep), and the scalar 1-D kernel.
 ADVERSARIAL_SHAPES: tuple[tuple[int, ...], ...] = (
     (7, 11),
     (5, 7, 3),
@@ -36,9 +40,24 @@ ADVERSARIAL_SHAPES: tuple[tuple[int, ...], ...] = (
     (1, 1, 23),
     (6, 1, 1),
     (2, 2, 2),
+    (40, 2, 2),
+    (3, 4, 2, 5),
+    (2, 1, 3, 2),
+    (5, 5, 2, 2),
     (37,),
     (1,),
 )
+
+
+def wavefront_order(shape: tuple[int, ...]) -> np.ndarray:
+    """Raster indices in wavefront order, computed independently of the
+    kernels: a stable sort of the flat raster by coordinate sum."""
+    coord_sum = np.zeros(shape, dtype=np.int64)
+    for axis, size in enumerate(shape):
+        extent = [1] * len(shape)
+        extent[axis] = size
+        coord_sum = coord_sum + np.arange(size).reshape(extent)
+    return np.argsort(coord_sum.ravel(), kind="stable")
 
 
 def adversarial_shapes(max_points: int = 512) -> st.SearchStrategy:
@@ -47,10 +66,10 @@ def adversarial_shapes(max_points: int = 512) -> st.SearchStrategy:
         [s for s in ADVERSARIAL_SHAPES if int(np.prod(s)) <= max_points]
     )
     drawn = (
-        st.integers(min_value=1, max_value=3)
+        st.integers(min_value=1, max_value=4)
         .flatmap(
             lambda nd: st.lists(
-                st.integers(min_value=1, max_value=13),
+                st.integers(min_value=1, max_value=13 if nd < 4 else 6),
                 min_size=nd,
                 max_size=nd,
             )
@@ -132,7 +151,7 @@ def wavefront_arrays(
         st.sampled_from([None, np.nan, np.inf, -np.inf])
     )
     eb = draw(error_bounds())
-    layers = draw(st.sampled_from([1, 1, 1, 2]))  # n=1 is the hot path
+    layers = draw(st.sampled_from([1, 1, 1, 2, 3]))  # n=1 is the hot path
     interval_bits = draw(st.sampled_from([4, 8]))
     rng = np.random.default_rng(seed)
     data = np.cumsum(

@@ -54,6 +54,7 @@ class TestSZConfigValidation:
             dict(error_bound=("psnr", float("inf"))),
             dict(error_bound=42),
             dict(error_bound=("rel", 1e-4), layers=0),
+            dict(error_bound=("rel", 1e-4), layers=5),
             dict(error_bound=("rel", 1e-4), interval_bits=0),
             dict(error_bound=("rel", 1e-4), interval_bits=17),
             dict(error_bound=("rel", 1e-4), theta=0.0),
@@ -87,6 +88,10 @@ class TestSZConfigValidation:
         # raise instead of being dropped or reinterpreted.
         with pytest.raises(ValueError):
             SZConfig.from_dict(spec)
+
+    def test_from_kwargs_rejects_layers_beyond_cap(self):
+        with pytest.raises(ValueError, match="layers"):
+            SZConfig.from_kwargs(mode="abs", bound=1e-3, layers=5)
 
     def test_from_kwargs_mutual_exclusion(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,17 @@ class TestV1Truncation:
         with pytest.raises(ValueError, match="dtype"):
             decompress(bytes(blob))
 
+    @pytest.mark.parametrize("layers", [0, 5, 40, 200])
+    def test_corrupt_layers_rejected(self, layers):
+        """The reader rejects a layers byte outside [1, MAX_LAYERS]; the
+        (layers+1)^d stencil it sized made 200 run for a minute and raise
+        MemoryError, 40 return NaNs and 5 return silently wrong data."""
+        data = _field((16, 16, 16))
+        blob = bytearray(compress(data, mode="abs", bound=1e-3))
+        blob[8] = layers  # layers byte
+        with pytest.raises(ValueError, match="layers"):
+            decompress(bytes(blob))
+
     def test_zero_extent_rejected(self):
         data = _field((8, 8))
         blob = bytearray(compress(data, mode="rel", bound=1e-3))

@@ -28,7 +28,13 @@ from repro.datasets.fields import (
     sparse_patches,
 )
 from repro.tuning import autotune, config_from_container, estimate
-from repro.tuning.estimator import _assembly_plan, _grid_dims, _plane_count
+from repro.tuning.estimator import (
+    _assemble,
+    _assembly_plan,
+    _grid_dims,
+    _measure_assembled,
+    _plane_count,
+)
 from repro.tuning.sampler import draw_sample
 from repro.tuning.validation import ENVELOPE
 
@@ -116,6 +122,21 @@ class TestAssemblyPlan:
             plan = _assembly_plan(k, shape)
             standalone = [(1, 1, 1)] * k
             assert _plane_count(plan, shape) < _plane_count(standalone, shape)
+
+
+class TestAssembledBlockStats:
+    def test_per_block_stats_read_codes_in_raster_order(self):
+        # The kernel returns codes in wavefront order; slicing them as a
+        # raster mixed the two blocks' histograms and outlier counts.
+        zero = np.zeros((16, 16, 16))
+        noise = np.random.default_rng(0).standard_normal((16, 16, 16))
+        grid, regions = _assemble([zero, noise], (2, 1, 1))
+        config = SZConfig.from_kwargs(mode="abs", bound=1e-3)
+        z, n = _measure_assembled(grid, regions, "abs", 1e-3, 1e-3, config)
+        assert np.count_nonzero(z.hist) == 1
+        assert z.n_unpredictable == 0
+        assert n.n_unpredictable > 0
+        assert z.hist.sum() == n.hist.sum() == 16**3
 
 
 class TestEstimateAccuracy:

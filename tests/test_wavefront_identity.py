@@ -1,19 +1,19 @@
-"""Differential identity harness: every wavefront fast path vs the
-scalar reference.
+"""Differential identity harness: the wavefront kernels vs the scalar
+reference.
 
-The wavefront engine carries several layered optimizations — grouped
-gather tables, the float32 interior and wavefront-order storage.  Each
-one is only admissible because it is *bit-identical* to the paper's
-sequential algorithm, and this suite is the mechanical enforcement of
-that contract: hypothesis drives the kernels across dtypes × dims ×
-adversarial shapes (prime-length axes, 1-wide slabs, singleton
-hyperplanes, NaN/Inf contamination, spike-forced unpredictables) and
-asserts code-for-code and byte-for-byte equality against
-:mod:`repro.core.reference`, for every fast-path configuration:
+The wavefront engine carries several layered optimizations — sheared
+plane views, the ring of plane buffers, the float32 interior and
+wavefront-order storage.  Each one is only admissible because it is
+*bit-identical* to the paper's sequential algorithm, and this suite is the
+mechanical enforcement of that contract: hypothesis drives the kernels
+across dtypes × 1-4 dims × 1-3 layers × adversarial shapes (prime-length
+axes, 1-wide slabs, singleton hyperplanes, NaN/Inf contamination,
+spike-forced unpredictables) and asserts code-for-code and byte-for-byte
+equality against :mod:`repro.core.reference`, for the one N-d kernel path
+and for the public ``compress``/``decompress`` pipeline.
 
-* gather tables on vs rebuilt per plane (``_TABLE_BYTES_MAX = 0``);
-* float32 interior vs the forced float64 fallback;
-* the public ``compress``/``decompress`` pipeline across modes.
+The wavefront order the codes are checked in comes from
+:func:`strategies.wavefront_order`, never from the code under test.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-import repro.core.wavefront as wf
 from repro.core import compress, decompress
 from repro.core.compressor import _PLAN_CACHE
 from repro.core.quantizer import UNPREDICTABLE, interval_radius
@@ -36,43 +35,30 @@ from repro.core.wavefront import (
     wavefront_decompress,
 )
 
-from strategies import ADVERSARIAL_SHAPES, wavefront_arrays
+from strategies import ADVERSARIAL_SHAPES, wavefront_arrays, wavefront_order
 
 
-def _codes_to_raster(codes_wf, plan, shape):
+def _codes_to_raster(codes_wf, shape):
     out = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    out[plan.order] = codes_wf
+    out[wavefront_order(shape)] = codes_wf
     return out.reshape(shape)
 
 
-def _plan_variants(shape, layers, dtype):
-    """Every plan configuration a kernel run can legitimately see."""
-    # A zero table budget forces the per-plane index fallback.  Patched
-    # here rather than with monkeypatch: hypothesis rejects
-    # function-scoped fixtures.
-    with mock.patch.object(wf, "_TABLE_BYTES_MAX", 0):
-        per_plane = WavefrontPlan(shape, layers, dtype)
-    return [
-        WavefrontPlan(shape, layers, dtype),  # native interior
-        per_plane,
-        WavefrontPlan(shape, layers),  # float64 fallback interior
-    ]
-
-
-def _assert_matches_reference(data, eb, layers, interval_bits, plan):
+def _assert_matches_reference(data, eb, layers, interval_bits):
     radius = interval_radius(interval_bits)
+    plan = WavefrontPlan(data.shape, layers)
     ref_codes, ref_dec = reference_compress(data, eb, layers, radius)
     res = wavefront_compress(data, eb, plan, radius)
     np.testing.assert_array_equal(
-        _codes_to_raster(res.codes, plan, data.shape), ref_codes
+        _codes_to_raster(res.codes, data.shape), ref_codes
     )
     np.testing.assert_array_equal(res.decompressed, ref_dec)
     # Unpredictable originals: the reference reports raster positions;
-    # the engine stores wavefront order of the same set of points.
-    miss_raster = ref_codes == UNPREDICTABLE
-    assert res.unpredictable.size == int(miss_raster.sum(dtype=np.int64))
+    # the engine stores them in wavefront order.
+    order = wavefront_order(data.shape)
+    miss_wf = ref_codes.reshape(-1)[order] == UNPREDICTABLE
     np.testing.assert_array_equal(
-        np.sort(res.unpredictable), np.sort(data[miss_raster])
+        res.unpredictable, data.reshape(-1)[order][miss_wf]
     )
     # Decompress replay must land on the reference reconstruction too.
     unpred_recon = truncate_to_bound(res.unpredictable, eb)
@@ -83,13 +69,12 @@ def _assert_matches_reference(data, eb, layers, interval_bits, plan):
 
 
 class TestKernelIdentity:
-    """Hypothesis-driven kernel equivalence across every serial fast path."""
+    """Hypothesis-driven kernel equivalence with the scalar reference."""
 
     @given(case=wavefront_arrays())
-    def test_tables_and_interior_variants_match_reference(self, case):
+    def test_kernel_matches_reference(self, case):
         data, eb, layers, interval_bits = case
-        for plan in _plan_variants(data.shape, layers, data.dtype):
-            _assert_matches_reference(data, eb, layers, interval_bits, plan)
+        _assert_matches_reference(data, eb, layers, interval_bits)
 
     @given(case=wavefront_arrays(allow_nonfinite=False))
     def test_decompress_matches_scalar_reference(self, case):
@@ -102,41 +87,65 @@ class TestKernelIdentity:
         ref_out = reference_decompress(
             ref_codes, unpred_raster, eb, layers, radius, data.dtype
         )
-        for plan in _plan_variants(data.shape, layers, data.dtype):
-            codes_wf = ref_codes.reshape(-1).take(plan.order)
-            # Wavefront order of the unpredictable values.
-            miss_wf = codes_wf == UNPREDICTABLE
-            uidx = np.cumsum(
-                (ref_codes == UNPREDICTABLE).reshape(-1), dtype=np.int64
-            ) - 1
-            unpred_wf = unpred_raster[uidx[plan.order][miss_wf]]
-            out = wavefront_decompress(
-                codes_wf, unpred_wf, plan, eb, radius, data.dtype
-            )
-            np.testing.assert_array_equal(out, ref_out)
+        order = wavefront_order(data.shape)
+        codes_wf = ref_codes.reshape(-1)[order]
+        # Wavefront order of the unpredictable values.
+        miss_wf = codes_wf == UNPREDICTABLE
+        uidx = np.cumsum(
+            (ref_codes == UNPREDICTABLE).reshape(-1), dtype=np.int64
+        ) - 1
+        unpred_wf = unpred_raster[uidx[order][miss_wf]]
+        plan = WavefrontPlan(data.shape, layers)
+        out = wavefront_decompress(
+            codes_wf, unpred_wf, plan, eb, radius, data.dtype
+        )
+        np.testing.assert_array_equal(out, ref_out)
 
 
 class TestSpikedPlanVariants:
-    """Deterministic spike-forced cases for every plan configuration.
+    """Deterministic spike-forced cases.
 
     Each shape is float32 with a spike every ~size/7 points, so the
-    unpredictable path runs on every variant, including the per-plane
-    fallback that the curated sweep below does not reach.
+    unpredictable path runs on 2-D planes and on 3-D bands alike.
     """
 
     SHAPES = [(24, 26), (7, 11, 5), (1, 40), (9, 1, 4)]
-    VARIANTS = ["native", "per-plane", "float64-interior"]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    @pytest.mark.parametrize("variant", range(len(VARIANTS)), ids=VARIANTS)
-    def test_matches_reference(self, shape, variant):
+    def test_matches_reference(self, shape):
         rng = np.random.default_rng(11)
         data = np.cumsum(
             rng.normal(0, 0.2, int(np.prod(shape)))
         ).reshape(shape).astype(np.float32)
         data.reshape(-1)[:: max(1, data.size // 7)] += 1e3
-        plan = _plan_variants(shape, 1, np.float32)[variant]
-        _assert_matches_reference(data, 1e-3, 1, 8, plan)
+        _assert_matches_reference(data, 1e-3, 1, 8)
+
+
+class TestMovingAxis:
+    """Every axis a plan can imply from each plane, against the reference.
+
+    Short trailing axes make the plan imply an earlier axis; with two or
+    more axes after it, their ranges add a fixed mask to each band.
+    """
+
+    SHAPES = [
+        ((9, 10), 1), ((6, 7, 8), 2), ((12, 12, 2), 1), ((6, 6, 6, 2), 2),
+        ((5, 5, 2, 2), 1), ((3, 4, 2, 5), 3), ((2, 8, 5, 2, 2), 1),
+        ((2, 2, 8, 5, 2), 2),
+    ]
+
+    @pytest.mark.parametrize("shape, moving", SHAPES, ids=str)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_reference(self, shape, moving, layers):
+        assert WavefrontPlan(shape, layers).moving == moving
+        rng = np.random.default_rng(len(shape) * 10 + layers)
+        data = np.cumsum(
+            rng.normal(0, 0.3, int(np.prod(shape)))
+        ).reshape(shape).astype(np.float32)
+        flat = data.reshape(-1)
+        flat[:: max(1, flat.size // 5)] += 1e3
+        flat[1], flat[-2] = np.nan, -np.inf
+        _assert_matches_reference(data, 1e-3, layers, 8)
 
 
 class TestPipelineIdentity:
@@ -154,22 +163,6 @@ class TestPipelineIdentity:
         rng = np.random.default_rng(5)
         base = np.cumsum(rng.normal(0, 0.1, 7 * 11 * 5)).reshape(7, 11, 5)
         return (np.abs(base) + 0.5).astype(dtype)  # positive: pw_rel-safe
-
-    @pytest.mark.parametrize("mode,bound", MODES, ids=[m for m, _ in MODES])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=str)
-    def test_tables_off_is_byte_identical(
-        self, monkeypatch, mode, bound, dtype
-    ):
-        data = self._field(dtype)
-        _PLAN_CACHE.clear()
-        blob_fast = compress(data, mode=mode, bound=bound)
-        out_fast = decompress(blob_fast)
-        monkeypatch.setattr(wf, "_TABLE_BYTES_MAX", 0)
-        _PLAN_CACHE.clear()
-        blob_slow = compress(data, mode=mode, bound=bound)
-        assert blob_fast == blob_slow
-        np.testing.assert_array_equal(out_fast, decompress(blob_slow))
-        _PLAN_CACHE.clear()
 
     @pytest.mark.parametrize("mode,bound", MODES, ids=[m for m, _ in MODES])
     def test_workers_leave_whole_array_serial(self, mode, bound):
@@ -193,26 +186,21 @@ class TestPipelineIdentity:
 
 
 class TestStalePlanRegression:
-    """Satellite: the plan cache must key on dtype, not just shape.
+    """A plan carries no dtype: float32 and float64 runs on one shape
+    share the cached plan, and each run's interior follows its data."""
 
-    Before the fix, a float64 run would cache a float64-interior plan
-    that a subsequent float32 run on the same shape silently reused —
-    correct output (the interior falls back), but the float32 fast path
-    never engaged.  Now each dtype gets its own plan and the interior
-    dtype always matches the data.
-    """
-
-    def test_dtype_swap_on_one_shape_gets_fresh_plan(self):
-        from repro.core.compressor import _get_plan
-
+    def test_dtype_swap_on_one_shape_shares_one_plan(self):
+        rng = np.random.default_rng(4)
+        data64 = np.cumsum(rng.normal(0, 0.1, 6 * 7)).reshape(6, 7)
         _PLAN_CACHE.clear()
-        shape = (6, 7)
-        p64 = _get_plan(shape, 1, np.float64)
-        p32 = _get_plan(shape, 1, np.float32)
-        assert p64 is not p32
-        assert p64.interior_dtype == np.float64
-        assert p32.interior_dtype == np.float32
-        assert _get_plan(shape, 1, np.float32) is p32  # cached, not rebuilt
+        blob64 = compress(data64, mode="abs", bound=1e-3)
+        plan = _PLAN_CACHE[((6, 7), 1)]
+        blob32 = compress(data64.astype(np.float32), mode="abs", bound=1e-3)
+        assert decompress(blob32).dtype == np.float32
+        assert decompress(blob64).dtype == np.float64
+        # Both dtypes, compress and decompress: one key, one plan object.
+        assert list(_PLAN_CACHE) == [((6, 7), 1)]
+        assert _PLAN_CACHE[((6, 7), 1)] is plan
         _PLAN_CACHE.clear()
 
     def test_dtype_swap_outputs_stay_correct_and_fast_path_engages(self):
@@ -243,6 +231,4 @@ class TestAdversarialShapesCurated:
         data = np.cumsum(
             rng.normal(0, 0.3, int(np.prod(shape)))
         ).reshape(shape).astype(dtype)
-        _assert_matches_reference(
-            data, 1e-3, 1, 8, WavefrontPlan(shape, 1, dtype)
-        )
+        _assert_matches_reference(data, 1e-3, 1, 8)
