@@ -47,30 +47,42 @@ from repro.chunked.format import (
     write_header,
 )
 from repro.chunked.io import ByteAccountant, open_source
-from repro.core.compressor import compress_array, decompress
+# compress_array is the per-array codec entry point this layer exposes
+# by name (perfbench/layers.py wraps it here); tiles go through
+# compress_members.
+from repro.core.compressor import (  # noqa: F401
+    compress_array,
+    compress_members,
+    decompress,
+)
 from repro.obs.tracer import metric_add, metric_observe, span
 from repro.parallel.pool import pool_map
 
 __all__ = ["TiledWriter", "TiledReader"]
 
 
-def _tile_job(args) -> tuple[bytes, int, int, int]:
-    """Compress one tile; returns (blob, n_unpred, mode_count, nonzero_bins).
+def _tiles_job(args) -> list[tuple[bytes, int, int, int]]:
+    """Compress same-shape tiles through shared wavefront kernel passes.
 
+    Returns ``(blob, n_unpred, mode_count, nonzero_bins)`` per tile.
     Module-level so the process pool can pickle it; the frozen
     ``SZConfig`` travels to the workers instead of a kwargs dict.
     """
-    tile, config, index = args
-    with span("tile", tile=index, shape=tuple(tile.shape)):
-        blob, stats = compress_array(np.ascontiguousarray(tile), config)
-    hist = stats.code_histogram
-    mode_count = int(hist.max()) if hist is not None and hist.size else 0
-    nonzero = (
-        int((hist > 0).sum(dtype=np.int64))
-        if hist is not None and hist.size
-        else 0
-    )
-    return blob, stats.n_unpredictable, mode_count, nonzero
+    tiles, config, indices = args
+    out = []
+    finishers = compress_members(tiles, config, observe=True)
+    for tile, index, finish in zip(tiles, indices, finishers):
+        with span("tile", tile=index, shape=tuple(tile.shape)):
+            blob, stats = finish()
+        hist = stats.code_histogram
+        mode_count = int(hist.max()) if hist is not None and hist.size else 0
+        nonzero = (
+            int((hist > 0).sum(dtype=np.int64))
+            if hist is not None and hist.size
+            else 0
+        )
+        out.append((blob, stats.n_unpredictable, mode_count, nonzero))
+    return out
 
 
 class TiledWriter:
@@ -187,9 +199,16 @@ class TiledWriter:
     # -- writing ----------------------------------------------------------
 
     def write_tiles(self, tiles: list[np.ndarray]) -> None:
-        """Append the next tiles in C grid order, compressed as one batch."""
+        """Append the next tiles in C grid order, compressed as one batch.
+
+        Tiles of one shape share wavefront kernel passes.  With
+        ``workers > 1`` each shape group is cut into up to ``workers``
+        contiguous sub-batches, one pool job each; the bytes do not
+        depend on the cut.
+        """
         if self._closed:
             raise ValueError("writer is closed")
+        groups: dict[tuple[int, ...], list[int]] = {}
         for i, tile in enumerate(tiles):
             expect = self.grid.tile_data_shape(self._next_tile + i)
             if tuple(tile.shape) != expect:
@@ -202,11 +221,23 @@ class TiledWriter:
                     f"tile dtype {tile.dtype} != container dtype "
                     f"{self.header.dtype}"
                 )
-        jobs = [
-            (tile, self.config, self._next_tile + i)
-            for i, tile in enumerate(tiles)
+            groups.setdefault(expect, []).append(i)
+        parts = [
+            part.tolist()
+            for group in groups.values()
+            for part in np.array_split(group, min(self.workers, len(group)))
         ]
-        results = pool_map(_tile_job, jobs, n_workers=self.workers)
+        jobs = [
+            ([tiles[i] for i in part], self.config,
+             [self._next_tile + i for i in part])
+            for part in parts
+        ]
+        results = [None] * len(tiles)
+        for part, done in zip(
+            parts, pool_map(_tiles_job, jobs, n_workers=self.workers)
+        ):
+            for i, result in zip(part, done):
+                results[i] = result
         for (blob, n_unpred, mode_count, nonzero), tile in zip(results, tiles):
             metric_add("tile/count")
             metric_observe(

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
@@ -86,6 +88,10 @@ _PLAN_CACHE_MAX = 32
 """LRU bound: a long-lived tiled job cycling through many (tile shape,
 layers) pairs must not grow the cache without limit; evicting the least
 recently used plan keeps the hot interior-tile shape resident."""
+_PASS_VALUES_MAX = 1 << 22
+"""Values one kernel pass may hold: a larger same-shape batch runs in
+several passes, so a pass's temporaries stay the size of one large
+array's.  A single array above the cap still runs whole."""
 
 
 @dataclass
@@ -154,28 +160,6 @@ def _get_plan(shape: tuple[int, ...], layers: int) -> WavefrontPlan:
     return plan
 
 
-def _quantize_adaptive(
-    data: np.ndarray,
-    eb: float,
-    layers: int,
-    interval_bits: int,
-    adaptive: bool,
-    theta: float,
-) -> tuple[WavefrontResult, int, int]:
-    """Wavefront quantization with the adaptive interval-count retry."""
-    plan = _get_plan(data.shape, layers)
-    attempts = 0
-    m = interval_bits
-    while True:
-        attempts += 1
-        radius = interval_radius(m)
-        result = wavefront_compress(data, eb, plan, radius)
-        if not adaptive or result.hit_rate >= theta or m >= _MAX_INTERVAL_BITS:
-            break
-        m = min(_MAX_INTERVAL_BITS, m + 2)
-    return result, m, attempts
-
-
 def _emit_container(
     result: WavefrontResult,
     m: int,
@@ -240,21 +224,38 @@ def compress_array(
     """The compression engine: ``(data, SZConfig) -> (blob, stats)``.
 
     Every public entry point — :func:`compress`,
-    :func:`compress_with_stats`, :class:`repro.api.Codec`, the tiled
-    writers — lands here.  ``config`` is an already-validated
-    :class:`repro.api.SZConfig`.  ``tile_shape`` and ``workers`` only
-    steer the tiled writers; this whole-array path ignores them and runs
-    in one process.
+    :func:`compress_with_stats`, :class:`repro.api.Codec` — lands here,
+    and the tiled writers run the same engine over batches of tiles
+    (:func:`compress_members`); a whole array is a batch of one.
+    ``config`` is an already-validated :class:`repro.api.SZConfig`.
+    ``tile_shape`` and ``workers`` only steer the tiled writers; this
+    whole-array path ignores them and runs in one process.
 
     With a :class:`repro.obs.Collector` active, the whole run records
     under a ``compress`` span and the run diagnostics feed the metrics
     registry; the emitted bytes are identical either way (telemetry only
     reads ``stats``, it never touches the encode path).
     """
+    data = np.asarray(data)
+    return _observed(data, config, partial(_compress_one, data, config))
+
+
+def _compress_one(
+    data: np.ndarray, config: "SZConfig"
+) -> tuple[bytes, CompressionStats]:
+    (out,) = [finish() for finish in compress_members([data], config)]
+    return out
+
+
+def _observed(
+    data: np.ndarray,
+    config: "SZConfig",
+    run: Callable[[], tuple[bytes, CompressionStats]],
+) -> tuple[bytes, CompressionStats]:
+    """``run()`` under a ``compress`` span, its stats fed to the metrics."""
     collector = active_collector()
     if collector is None:
-        return _compress_array_impl(data, config)
-    data = np.asarray(data)
+        return run()
     with collector.span(
         "compress",
         mode=config.error_bound.mode,
@@ -262,7 +263,7 @@ def compress_array(
         shape=tuple(int(s) for s in data.shape),
         bytes=int(data.nbytes),
     ):
-        blob, stats = _compress_array_impl(data, config)
+        blob, stats = run()
     _record_compress_metrics(collector, stats)
     return blob, stats
 
@@ -283,102 +284,261 @@ def _record_compress_metrics(
         collector.add("psnr/retries", float(stats.mode_attempts - 1))
 
 
-def _compress_array_impl(
-    data: np.ndarray, config: "SZConfig"
-) -> tuple[bytes, CompressionStats]:
-    layers = config.layers
-    interval_bits = config.interval_bits
-    adaptive = config.adaptive
-    theta = config.theta
-    block_size = config.block_size
-    entropy_coder = config.entropy_coder
-    data = np.asarray(data)
-    if data.dtype not in (np.float32, np.float64):
-        raise TypeError(f"only float32/float64 supported, got {data.dtype}")
-    if data.ndim < 1:
-        raise ValueError("scalar input not supported")
-    if data.size == 0:
-        raise ValueError("empty input not supported")
-    spec = config.error_bound
+def compress_members(
+    arrays: Sequence[np.ndarray], config: "SZConfig", observe: bool = False
+) -> Iterator[Callable[[], tuple[bytes, CompressionStats]]]:
+    """Compress same-shape arrays through shared wavefront kernel passes.
+
+    Yields one *finisher* per array, in order: calling it entropy-codes
+    that array and returns ``(blob, stats)``, byte-identical to
+    ``compress_array(array, config)``.  Up to :data:`_PASS_VALUES_MAX`
+    values run through each kernel pass, so call each finisher before
+    asking for the next; a pass's results are then all that is held.
+
+    Only the kernel is shared.  Each array keeps its own value range,
+    constant shortcut, ``pw_rel`` precondition, repair and side channel,
+    bound (``rel``/``psnr`` differ per array), ``psnr`` verification,
+    adaptive interval retries, entropy coding and container; a retry
+    reruns only the arrays that need it.  With ``observe`` each finisher
+    records its own ``compress`` span and metrics, as
+    :func:`compress_array` does around a whole run.
+    """
+    per_pass = max(1, _PASS_VALUES_MAX // max(1, int(np.size(arrays[0]))))
+    for lo in range(0, len(arrays), per_pass):
+        members = [_Member(a, config) for a in arrays[lo:lo + per_pass]]
+        _quantize_members([mb for mb in members if not mb.constant], config)
+        for mb in members:
+            finish = partial(_finish, mb, config)
+            yield partial(_observed, mb.data, config, finish) if observe else finish
+
+
+class _Member:
+    """One array on its way through :func:`compress_members`.
+
+    A ``constant`` array skips the kernel.  ``field`` is what the kernel
+    quantizes: the data, or its ``pw_rel`` log field.  ``ebs`` lists the
+    bounds to try in turn (``psnr`` falls back to tighter ones) and
+    ``mode_attempts`` counts those tried; ``m`` and ``attempts`` follow
+    the adaptive interval count under the current bound.  ``seconds``
+    sums the array's own work and its share of each kernel pass.
+    """
+
+    __slots__ = (
+        "data", "value_range", "constant", "field", "flags", "signs", "ebs",
+        "mode_attempts", "m", "attempts", "result", "seconds",
+    )
+
+    def __init__(self, data: np.ndarray, config: "SZConfig") -> None:
+        t0 = time.perf_counter()
+        data = np.asarray(data)
+        if data.dtype not in (np.float32, np.float64):
+            raise TypeError(f"only float32/float64 supported, got {data.dtype}")
+        if data.ndim < 1:
+            raise ValueError("scalar input not supported")
+        if data.size == 0:
+            raise ValueError("empty input not supported")
+        self.data = data = np.ascontiguousarray(data)
+        self.value_range = value_range = finite_range(data)
+        self.field = data
+        self.flags: np.ndarray | None = None
+        self.signs: np.ndarray | None = None
+        self.ebs: list[float] = []
+        self.mode_attempts = 1
+        self.m = config.interval_bits
+        self.attempts = 0
+        self.result: WavefrontResult | None = None
+        spec = config.error_bound
+        self.constant = (
+            value_range == 0.0
+            and bool(np.isfinite(data).all())
+            and _constant_ok(data, spec.mode)
+        )
+        if self.constant:
+            pass  # one value describes it: see _constant_container
+        elif spec.mode == "pw_rel":
+            assert spec.pw_bound is not None  # from_args invariant for pw_rel
+            self.ebs = [pw_log_bound(spec.pw_bound, data.dtype)]
+            self.field, self.flags, self.signs = pw_precondition(data)
+        elif spec.mode == "psnr":
+            assert spec.psnr_target is not None  # from_args invariant
+            if value_range == 0.0:
+                # Only reachable when non-finite values block the
+                # constant shortcut: PSNR normalizes by the value range,
+                # so a target on a zero-range field is as meaningless as
+                # a relative bound on one.
+                raise ValueError(
+                    "psnr target cannot be resolved: the field's finite "
+                    "value range is 0 (constant data with NaN/Inf); pass "
+                    "mode='abs' instead"
+                )
+            # The noise model's bound first; if the reconstruction
+            # misses the target, the fallback R * 10^(-target/20) is
+            # guaranteed to reach it (rmse <= max|error| <= eb).  Further
+            # halvings are pure paranoia.
+            fallback = psnr_fallback_bound(spec.psnr_target, value_range)
+            self.ebs = [
+                psnr_to_abs_bound(spec.psnr_target, value_range),
+                fallback, fallback / 2.0, fallback / 4.0,
+            ]
+        else:
+            self.ebs = [spec.resolve(value_range)]
+        self.seconds = time.perf_counter() - t0
+
+    @property
+    def eb(self) -> float:
+        return self.ebs[self.mode_attempts - 1]
+
+    def retry(self, config: "SZConfig") -> bool:
+        """Ready another kernel pass if the result falls short.
+
+        Adaptive interval growth comes first (the paper's Section IV-B
+        advice, automated); then a ``psnr`` miss moves to the next bound
+        with the configured interval count.
+        """
+        t0 = time.perf_counter()
+        result = self.result
+        assert result is not None
+        again = False
+        if (
+            config.adaptive
+            and result.hit_rate < config.theta
+            and self.m < _MAX_INTERVAL_BITS
+        ):
+            self.m = min(_MAX_INTERVAL_BITS, self.m + 2)
+            again = True
+        elif config.error_bound.mode == "psnr":
+            target = config.error_bound.psnr_target
+            assert target is not None
+            psnr = _psnr_of(self.data, result.decompressed, self.value_range)
+            if not psnr >= target:
+                if self.mode_attempts == len(self.ebs):  # pragma: no cover
+                    raise RuntimeError(
+                        f"could not reach the PSNR target {target} dB"
+                    )
+                self.mode_attempts += 1
+                self.m = config.interval_bits
+                self.attempts = 0
+                again = True
+        self.seconds += time.perf_counter() - t0
+        return again
+
+
+def _quantize_members(members: list[_Member], config: "SZConfig") -> None:
+    """Run the kernel over ``members`` until none needs a retry.
+
+    Each pass takes every pending member with the same interval count,
+    one bound per member unless all share one.
+    """
+    if not members:
+        return
+    plan = _get_plan(members[0].data.shape, config.layers)
+    pending = members
+    while pending:
+        for m in sorted({mb.m for mb in pending}):
+            group = [mb for mb in pending if mb.m == m]
+            fields = [mb.field for mb in group]
+            ebs = [mb.eb for mb in group]
+            t0 = time.perf_counter()
+            # A stack returns one result per member.
+            results = cast(list[WavefrontResult], wavefront_compress(
+                fields[0][None] if len(fields) == 1 else np.stack(fields),
+                ebs[0] if ebs.count(ebs[0]) == len(ebs) else np.array(ebs),
+                plan,
+                interval_radius(m),
+            ))
+            share = (time.perf_counter() - t0) / len(group)
+            for mb, result in zip(group, results):
+                mb.result = result
+                mb.attempts += 1
+                mb.seconds += share
+        pending = [mb for mb in pending if mb.retry(config)]
+
+
+def _finish(mb: _Member, config: "SZConfig") -> tuple[bytes, CompressionStats]:
+    """Entropy-code one quantized member into its container."""
     t0 = time.perf_counter()
-    value_range = finite_range(data)
-
-    if value_range == 0.0 and np.isfinite(data).all() and _constant_ok(
-        data, spec.mode
-    ):
-        # Constant field: a single value describes the array exactly, so
-        # every mode's guarantee holds trivially.  The recorded eb keeps
-        # the legacy value (the abs bound if one was given, else 0.0) so
-        # abs/rel output stays byte-identical across versions; pw_rel and
-        # psnr requests keep their mode tag so info() reports them.
-        eb = (
-            float(spec.abs_bound)
-            if spec.mode == "abs" and spec.abs_bound is not None
-            else 0.0
-        )
-        header = Header(
-            data.dtype, data.shape, interval_bits, layers, eb, 0.0, 0,
-            flags=FLAG_CONSTANT, mode=spec.mode, mode_param=spec.param,
-        )
-        blob = write_container(header, None, None, b"", float(data.flat[0]))
-        stats = CompressionStats(
-            eb_abs=eb, value_range=0.0, layers=layers,
-            interval_bits=interval_bits, hit_rate=1.0, n_unpredictable=0,
-            original_bytes=data.nbytes, compressed_bytes=len(blob),
-            elapsed_seconds=time.perf_counter() - t0,
-            code_histogram=np.zeros(1, dtype=np.int64),
-            mode=spec.mode, mode_param=spec.param,
-        )
-        stats.itemsize = data.dtype.itemsize
+    data, spec, layers = mb.data, config.error_bound, config.layers
+    if mb.constant:
+        blob, stats = _constant_container(data, config)
+        stats.elapsed_seconds += mb.seconds
         return blob, stats
-
-    code_hist = None
+    result = mb.result
+    assert result is not None
+    m, eb = mb.m, mb.eb
+    code_hist = np.bincount(result.codes, minlength=2 * interval_radius(m))
+    mode_attempts = mb.mode_attempts
+    side = b""
     if spec.mode == "pw_rel":
-        assert spec.pw_bound is not None  # from_args invariant for pw_rel
-        blob, result, m, attempts, repairs = _compress_pw_rel(
-            data, spec.pw_bound, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, value_range,
+        assert mb.flags is not None and mb.signs is not None
+        # result.decompressed is the exact float64 log field a
+        # decompressor materializes; any value the margin analysis
+        # failed to cover is re-flagged raw here, making the pointwise
+        # guarantee unconditional.
+        repairs = pw_apply_repairs(
+            data, result.decompressed, mb.flags, mb.signs, spec.param
         )
-        eb, mode_attempts = pw_log_bound(spec.pw_bound, data.dtype), 1 + repairs
-    elif spec.mode == "psnr":
-        assert spec.psnr_target is not None  # from_args invariant for psnr
-        blob, result, m, attempts, eb, mode_attempts = _compress_psnr(
-            data, spec.psnr_target, layers, interval_bits, adaptive, theta,
-            block_size, entropy_coder, value_range,
-        )
-    else:
-        eb = spec.resolve(value_range)
-        result, m, attempts = _quantize_adaptive(
-            data, eb, layers, interval_bits, adaptive, theta
-        )
-        code_hist = np.bincount(result.codes, minlength=2 * interval_radius(m))
-        blob = _emit_container(
-            result, m, eb, data.dtype, data.shape, value_range, layers,
-            block_size, entropy_coder, code_hist=code_hist,
-        )
-        mode_attempts = 1
+        side = pw_encode_side(data, mb.flags, mb.signs)
+        mode_attempts = 1 + repairs
+    moded = spec.mode in ("pw_rel", "psnr")  # abs/rel write untagged
+    blob = _emit_container(
+        result, m, eb, data.dtype, data.shape, mb.value_range, layers,
+        config.block_size, config.entropy_coder,
+        mode=spec.mode if moded else "abs",
+        mode_param=spec.param if moded else 0.0,
+        side_payload=side, code_hist=code_hist,
+    )
     if config.lossless_post:
         with stage("lossless_post", nbytes=len(blob)):
             blob = wrap(blob)
     stats = CompressionStats(
         eb_abs=eb,
-        value_range=value_range,
+        value_range=mb.value_range,
         layers=layers,
         interval_bits=m,
         hit_rate=result.hit_rate,
         n_unpredictable=result.unpredictable.size,
         original_bytes=data.nbytes,
         compressed_bytes=len(blob),
-        elapsed_seconds=time.perf_counter() - t0,
-        code_histogram=(
-            code_hist
-            if code_hist is not None
-            else np.bincount(result.codes, minlength=2 * interval_radius(m))
-        ),
-        adaptive_attempts=attempts,
+        elapsed_seconds=mb.seconds + time.perf_counter() - t0,
+        code_histogram=code_hist,
+        adaptive_attempts=mb.attempts,
         mode=spec.mode,
         mode_param=spec.param,
         mode_attempts=mode_attempts,
+    )
+    stats.itemsize = data.dtype.itemsize
+    return blob, stats
+
+
+def _constant_container(
+    data: np.ndarray, config: "SZConfig"
+) -> tuple[bytes, CompressionStats]:
+    """A zero-range field: a single value describes the array exactly.
+
+    Every mode's guarantee holds trivially.  The recorded eb keeps the
+    legacy value (the abs bound if one was given, else 0.0) so abs/rel
+    output stays byte-identical across versions; pw_rel and psnr
+    requests keep their mode tag so info() reports them.
+    """
+    t0 = time.perf_counter()
+    spec, layers = config.error_bound, config.layers
+    eb = (
+        float(spec.abs_bound)
+        if spec.mode == "abs" and spec.abs_bound is not None
+        else 0.0
+    )
+    header = Header(
+        data.dtype, data.shape, config.interval_bits, layers, eb, 0.0, 0,
+        flags=FLAG_CONSTANT, mode=spec.mode, mode_param=spec.param,
+    )
+    blob = write_container(header, None, None, b"", float(data.flat[0]))
+    stats = CompressionStats(
+        eb_abs=eb, value_range=0.0, layers=layers,
+        interval_bits=config.interval_bits, hit_rate=1.0, n_unpredictable=0,
+        original_bytes=data.nbytes, compressed_bytes=len(blob),
+        elapsed_seconds=time.perf_counter() - t0,
+        code_histogram=np.zeros(1, dtype=np.int64),
+        mode=spec.mode, mode_param=spec.param,
     )
     stats.itemsize = data.dtype.itemsize
     return blob, stats
@@ -429,87 +589,6 @@ def compress_with_stats(
     from repro.api.config import config_from
 
     return compress_array(data, config_from(config, kwargs))
-
-
-def _compress_pw_rel(
-    data: np.ndarray,
-    pw_bound: float,
-    layers: int,
-    interval_bits: int,
-    adaptive: bool,
-    theta: float,
-    block_size: int,
-    entropy_coder: str,
-    value_range: float,
-) -> tuple[bytes, WavefrontResult, int, int, int]:
-    """Pointwise-relative mode: log-precondition, quantize, verify-repair."""
-    eb_log = pw_log_bound(pw_bound, data.dtype)
-    logs, flags, signs = pw_precondition(data)
-    result, m, attempts = _quantize_adaptive(
-        logs, eb_log, layers, interval_bits, adaptive, theta
-    )
-    # result.decompressed is the exact float64 log field a decompressor
-    # materializes; any value the margin analysis failed to cover is
-    # re-flagged raw here, making the pointwise guarantee unconditional.
-    repairs = pw_apply_repairs(
-        data, result.decompressed, flags, signs, pw_bound
-    )
-    side = pw_encode_side(data, flags, signs)
-    blob = _emit_container(
-        result, m, eb_log, data.dtype, data.shape, value_range, layers,
-        block_size, entropy_coder,
-        mode="pw_rel", mode_param=pw_bound, side_payload=side,
-    )
-    return blob, result, m, attempts, repairs
-
-
-def _compress_psnr(
-    data: np.ndarray,
-    target_db: float,
-    layers: int,
-    interval_bits: int,
-    adaptive: bool,
-    theta: float,
-    block_size: int,
-    entropy_coder: str,
-    value_range: float,
-) -> tuple[bytes, WavefrontResult, int, int, float, int]:
-    """PSNR-targeted mode: model-derived bound, verified post-hoc.
-
-    The first candidate comes from the uniform-quantization noise model;
-    if the actual reconstruction misses the target, the fallback bound
-    ``R * 10^(-target/20)`` is mathematically guaranteed to reach it
-    (``rmse <= max|error| <= eb``).  Further halvings are pure paranoia.
-    """
-    if value_range == 0.0:
-        # Only reachable when non-finite values block the constant
-        # shortcut: PSNR normalizes by the value range, so a target on a
-        # zero-range field is as meaningless as a relative bound on one.
-        raise ValueError(
-            "psnr target cannot be resolved: the field's finite value "
-            "range is 0 (constant data with NaN/Inf); pass mode='abs' "
-            "instead"
-        )
-    fallback = psnr_fallback_bound(target_db, value_range)
-    candidates = [
-        psnr_to_abs_bound(target_db, value_range),
-        fallback, fallback / 2.0, fallback / 4.0,
-    ]
-    for mode_attempts, eb in enumerate(candidates, start=1):
-        result, m, attempts = _quantize_adaptive(
-            data, eb, layers, interval_bits, adaptive, theta
-        )
-        if _psnr_of(data, result.decompressed, value_range) >= target_db:
-            break
-    else:  # pragma: no cover - fallback candidates are guaranteed above
-        raise RuntimeError(
-            f"could not reach the PSNR target {target_db} dB"
-        )
-    blob = _emit_container(
-        result, m, eb, data.dtype, data.shape, value_range, layers,
-        block_size, entropy_coder, mode="psnr", mode_param=target_db,
-    )
-    return blob, result, m, attempts, eb, mode_attempts
 
 
 def compress(

@@ -86,28 +86,47 @@ def _classify(values: np.ndarray, eb: float, lo: _Layout):
     return bits, sign, exp, mant, is_zero, is_normal, is_raw
 
 
-def truncate_to_bound(values: np.ndarray, eb: float) -> np.ndarray:
+def _eb_floor(eb: float | np.ndarray) -> int | np.ndarray:
+    """``floor(log2(eb))`` for one bound or per element of a bound array.
+
+    Always through ``math.log2``, as the decoder computes it, so that no
+    bit count depends on NumPy's own rounding of the logarithm.
+    """
+    if np.ndim(eb) == 0:
+        if eb <= 0:
+            raise ValueError("error bound must be positive")
+        return math.floor(math.log2(eb))
+    bounds, inverse = np.unique(eb, return_inverse=True)
+    if bounds.size and not bounds[0] > 0:
+        raise ValueError("error bound must be positive")
+    floors = [math.floor(math.log2(b)) for b in bounds.tolist()]
+    return np.array(floors, dtype=np.int64)[inverse]
+
+
+def truncate_to_bound(values: np.ndarray, eb: float | np.ndarray) -> np.ndarray:
     """Reconstructions the decoder will produce, without building a payload.
 
     The wavefront compressor calls this inline so subsequent predictions
-    see exactly the values a decompressor will see.
+    see exactly the values a decompressor will see.  ``eb`` is one bound,
+    or one per value (the members of a kernel batch keep their own).
+    The dropped mantissa bits are cleared in the native unsigned word.
     """
     values = np.asarray(values)
     lo = _layout(values.dtype)
-    if eb <= 0:
-        raise ValueError("error bound must be positive")
-    bits, sign, exp, mant, is_zero, is_normal, is_raw = _classify(values, eb, lo)
-    t = _required_bits(exp, eb, lo)
-    keep_shift = (lo.mant_bits - t).astype(np.uint64)
-    mant_trunc = (mant >> keep_shift) << keep_shift
-    rebuilt = (
-        (sign << np.uint64(lo.total_bits - 1))
-        | (exp << np.uint64(lo.mant_bits))
-        | mant_trunc
-    )
-    out = rebuilt.astype(lo.uint.type).view(values.dtype)
-    out = np.where(is_zero, values.dtype.type(0), out)
-    return np.where(is_raw, values, out)
+    floor = _eb_floor(eb)
+    bits = values.view(lo.uint)
+    exp = (bits >> lo.mant_bits).astype(np.int64) & ((1 << lo.exp_bits) - 1)
+    # Mantissa bits to drop: mant_bits - t, with t from _required_bits
+    # (a subnormal's exponent field 0 counts as 1).
+    drop = np.clip(
+        floor + lo.mant_bits - 1 - (np.maximum(exp, 1) - lo.bias),
+        0, lo.mant_bits,
+    ).astype(lo.uint)
+    out = ((bits >> drop) << drop).view(values.dtype)
+    out[np.abs(values) <= eb] = 0
+    raw = ~np.isfinite(values)
+    out[raw] = values[raw]
+    return out
 
 
 def encode_unpredictable(values: np.ndarray, eb: float) -> tuple[bytes, np.ndarray]:

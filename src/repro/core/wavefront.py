@@ -34,11 +34,20 @@ pins them byte-identical to the scalar reference:
   the largest box and every ufunc writes through ``out=``; the
   accumulation *order* of the prediction sum is preserved exactly
   (including the ``+0.0`` start that normalizes signed zeros).
+* **a batch axis** — the compressor takes a stack of same-shape arrays
+  on a leading axis and runs them in lockstep, one NumPy call per
+  hyperplane for the whole stack.  No stencil arm reaches across that
+  axis, so every member's codes, unpredictable values and
+  reconstruction are those of compressing it alone; each member may
+  keep its own error bound.  Small arrays pay for per-plane dispatch
+  rather than arithmetic, so the tiled writer runs each slab's
+  same-shape tiles as one batch; a whole array is a batch of one, which
+  drops the member axis and runs the single-array loop.
 
 The kernels run in one process; parallelism lives a level up, in tiled
 compression, where every tile is an independent array.  One-dimensional
 arrays have singleton hyperplanes, so a dedicated tight scalar loop
-handles ``d == 1``.
+handles ``d == 1``, one batch member after another.
 """
 
 from __future__ import annotations
@@ -213,7 +222,9 @@ class WavefrontPlan:
         Entry ``[s, c]`` is the point of plane ``s`` with free coordinates
         ``c``.  The flat index is affine in ``(s, c)`` and grows with
         every free coordinate, and both corners of each plane's box lie
-        inside the raster, so every box cell does, band or not.
+        inside the raster, so every box cell does, band or not.  A
+        ``(B, size)`` stack of rasters gives a ``(B, planes, *extent)``
+        view, one member per leading index.
         """
         d, mv, item = self.ndim, self.moving, flat.itemsize
         stride = [prod(self.shape[a + 1:]) for a in range(d)]
@@ -221,16 +232,18 @@ class WavefrontPlan:
         # sum_(k>a) i_k, which puts entry [0, 0, ...] at raster index 0),
         # then flipped back.
         view = as_strided(
-            flat, shape=(len(self.groups), *self.extent),
-            strides=[item * stride[mv]]
+            flat, shape=(*flat.shape[:-1], len(self.groups), *self.extent),
+            strides=[*flat.strides[:-1], item * stride[mv]]
             + [item * (stride[a] - stride[mv]) for a in range(mv)]
             + [item * (stride[a + 1] - stride[a]) for a in range(mv, d - 1)],
             writeable=writeable,
         )
-        return view[(slice(None),) * (mv + 1)
+        return view[(slice(None),) * (flat.ndim + mv)
                     + (slice(None, None, -1),) * (d - 1 - mv)]
 
-    def ring(self, dtype: np.dtype) -> list[tuple[np.ndarray, list[Any]]]:
+    def ring(
+        self, dtype: np.dtype, batch: int | None = None
+    ) -> list[tuple[np.ndarray, list[Any]]]:
         """Zeroed plane buffers for one kernel run.
 
         Returns, per ring phase ``s % (n*d + 1)``, the view plane ``s``
@@ -243,14 +256,20 @@ class WavefrontPlan:
         reads zero: it lands in the border or on a cell no plane wrote
         (later axes' ranges do not depend on the plane, and a buffer
         cell's moving coordinate only grows from plane to plane).
+
+        With ``batch``, every buffer and view gains a leading axis of
+        that many members; no arm shifts along it, so members never read
+        each other's cells, and boxes index it as ``(slice(None), *box)``.
         """
         n, d, mv = self.n, self.ndim, self.moving
         depth = n * d + 1
+        lead = () if batch is None else (batch,)
+        every = (slice(None),) * len(lead)
         border = [n] * mv + [n * (d - 1 - a) for a in range(mv, d - 1)]
-        bufs = [np.zeros([e + b for e, b in zip(self.extent, border)],
+        bufs = [np.zeros([*lead, *(e + b for e, b in zip(self.extent, border))],
                          dtype=dtype)
                 for _ in range(depth)]
-        own = (slice(n, None),) * mv + (slice(0, None),) * (d - 1 - mv)
+        own = every + (slice(n, None),) * mv + (slice(0, None),) * (d - 1 - mv)
         reach = self.offsets.sum(axis=1, dtype=np.int64).tolist()
         starts = [
             [n - k for k in ks[:mv]]
@@ -259,7 +278,8 @@ class WavefrontPlan:
         ]
         return [
             (bufs[p][own],
-             [(c, op, bufs[(p - r) % depth][tuple(slice(k, None) for k in ks)])
+             [(c, op,
+               bufs[(p - r) % depth][every + tuple(slice(k, None) for k in ks)])
               for (c, op), ks, r in zip(self.terms, starts, reach)])
             for p in range(depth)
         ]
@@ -280,44 +300,69 @@ class WavefrontPlan:
 
 def wavefront_compress(
     data: np.ndarray,
-    eb: float,
+    eb: float | np.ndarray,
     plan: WavefrontPlan,
     radius: int,
-) -> WavefrontResult:
+) -> WavefrontResult | list[WavefrontResult]:
     """Run prediction + error-controlled quantization over ``data``.
 
     Returns codes and unpredictable originals in wavefront order, plus
     (lazily) the exact array a decompressor will reconstruct.
+
+    ``data`` of one more axis than ``plan.shape`` is a *batch*: a stack
+    of independent members that run in lockstep, one NumPy call per
+    hyperplane for all of them.  ``eb`` is then one bound for every
+    member or one per member, and the call returns one result per
+    member, each identical to compressing that member alone.
     """
     with stage("quantize", nbytes=data.nbytes):
+        if data.ndim == len(plan.shape):
+            return _wavefront_compress(data[None], eb, plan, radius)[0]
         return _wavefront_compress(data, eb, plan, radius)
 
 
 def _wavefront_compress(
-    data: np.ndarray,
-    eb: float,
+    batch: np.ndarray,
+    eb: float | np.ndarray,
     plan: WavefrontPlan,
     radius: int,
-) -> WavefrontResult:
-    if data.ndim == 1:
-        return _compress_1d(data, eb, plan.n, radius)
-    out_dtype = data.dtype
+) -> list[WavefrontResult]:
+    B = len(batch)
+    shared = np.ndim(eb) == 0
+    member_eb = [float(eb)] * B if shared else [float(e) for e in eb]
+    if plan.ndim == 1:
+        return [_compress_1d(x, e, plan.n, radius)
+                for x, e in zip(batch, member_eb)]
+    out_dtype = batch.dtype
     idt = resolve_interior_dtype(out_dtype)
-    src = plan.sheared(np.ascontiguousarray(data).reshape(-1))
-    n_points = data.size
-    dec_wf = np.empty(n_points, dtype=idt)
+    n_points = prod(plan.shape)
+    flat = np.ascontiguousarray(batch).reshape(B, n_points)
+    dec_all = np.empty((B, n_points), dtype=idt)
     # Deferred code materialization: raw quantization offsets and the
     # predictable mask accumulate per plane; one vectorized epilogue
     # turns them into codes (cheaper than per-plane int casts).
-    qall = np.empty(n_points, dtype=np.float64)
-    ok_all = np.empty(n_points, dtype=bool)
+    qall = np.empty((B, n_points), dtype=np.float64)
+    ok_all = np.empty((B, n_points), dtype=bool)
+    # A batch of one drops the member axis, so it runs exactly the
+    # single-array loop; otherwise every per-plane array leads with it.
+    lead: tuple[int, ...] = () if B == 1 else (B,)
+    every = (slice(None),) * len(lead)
+    members = 0 if B == 1 else slice(None)
+    src = plan.sheared(flat[members])
+    dec_wf, q_wf, ok_wf_all = dec_all[members], qall[members], ok_all[members]
+    # Unpredictable originals per plane, member after member, and (for
+    # B > 1) how many each member contributed.
     unpred_chunks: list[np.ndarray] = []
+    unpred_counts: list[np.ndarray] = []
     wide = np.float64 if idt == np.float32 else None
-    two_eb = 2.0 * eb
+    # One bound per member broadcasts along the box axes.
+    eb_arr = np.array(member_eb)
+    ebs = eb if shared else eb_arr.reshape(B, *[1] * (plan.ndim - 1))
+    two_eb = 2.0 * ebs
     fradius = float(radius)
     # Scratch buffers at the largest box; every per-plane ufunc writes
     # through out= into a contiguous view of these, shaped like the box.
-    size = plan.max_box
+    size = B * plan.max_box
     pred_s = np.empty(size, dtype=np.float64)
     tmp_s = np.empty(size, dtype=np.float64)
     diff_s = np.empty(size, dtype=np.float64)
@@ -327,26 +372,30 @@ def _wavefront_compress(
         ok_s = np.empty(size, dtype=bool)
         rc_s = np.empty(size, dtype=idt)
     planes = zip(
-        plan.groups, plan.boxes, plan._cells, plan.bands, cycle(plan.ring(idt))
+        plan.groups, plan.boxes, plan._cells, plan.bands,
+        cycle(plan.ring(idt, *lead)),
     )
     with np.errstate(invalid="ignore", over="ignore"):
         for (start, end), box, cells, band, (own_box, terms) in planes:
-            if band is None:  # 2-D: the box is the plane, no reshape
-                m = end - start
-                pred, diff = pred_s[:m], diff_s[:m]
-                err, bounded = tmp_s[:m], mask_s[:m]
-                qoff = qall[start:end]
-                ok = ok_wf = ok_all[start:end]
+            if lead:
+                box, cells = every + box, every + cells
+            if band is None:  # 2-D: the box is the plane
+                shape, m = (*lead, end - start), B * (end - start)
+                qoff = q_wf[..., start:end]
+                ok = ok_wf = ok_wf_all[..., start:end]
                 recon = own_box[box]
             else:
-                shape, m = band.shape, band.size
-                pred = pred_s[:m].reshape(shape)
-                diff = diff_s[:m].reshape(shape)
-                err = tmp_s[:m].reshape(shape)
-                bounded = mask_s[:m].reshape(shape)
+                shape, m = (*lead, *band.shape), B * band.size
                 qoff = q_s[:m].reshape(shape)
                 ok = ok_s[:m].reshape(shape)
                 recon = rc_s[:m].reshape(shape)
+                # A mask of the stack's own shape, not the slower mixed
+                # index [:, band].
+                stacked = np.broadcast_to(band, shape) if lead else band
+            pred = pred_s[:m].reshape(shape)
+            diff = diff_s[:m].reshape(shape)
+            err = tmp_s[:m].reshape(shape)
+            bounded = mask_s[:m].reshape(shape)
             # Prediction: the stencil sum in stencil order, starting from
             # +0.0 (the first term takes the scalar) — bit-identical to
             # `pred = 0; pred += c * arm` for every arm.
@@ -373,12 +422,12 @@ def _wavefront_compress(
             np.subtract(x, recon, out=err, dtype=wide)
             np.abs(err, out=err)
             # |x - recon| <= eb also rejects non-finite x and recon.
-            np.less_equal(err, eb, out=bounded)
+            np.less_equal(err, ebs, out=bounded)
             np.logical_and(ok, bounded, out=ok)
             if band is not None:
-                qall[start:end] = qoff[band]
-                ok_wf = ok_all[start:end]
-                ok_wf[...] = ok[band]
+                q_wf[..., start:end] = qoff[stacked].reshape(*lead, -1)
+                ok_wf = ok_wf_all[..., start:end]
+                ok_wf[...] = ok[stacked].reshape(*lead, -1)
             if not ok_wf.all():
                 miss = bounded
                 np.logical_not(ok, out=miss)
@@ -386,40 +435,64 @@ def _wavefront_compress(
                     np.logical_and(miss, band, out=miss)
                 originals = x[miss]
                 unpred_chunks.append(originals)
-                recon[miss] = truncate_to_bound(originals, eb)
+                bound = eb
+                if lead:
+                    counts = np.count_nonzero(miss.reshape(B, -1), axis=1)
+                    unpred_counts.append(counts)
+                    if not shared:
+                        bound = np.repeat(eb_arr, counts)
+                recon[miss] = truncate_to_bound(originals, bound)
             if band is None:
-                dec_wf[start:end] = recon
+                dec_wf[..., start:end] = recon
             else:
                 np.copyto(own_box[box], recon, where=band)
-                dec_wf[start:end] = recon[band]
+                dec_wf[..., start:end] = recon[stacked].reshape(*lead, -1)
 
     codes, unpredictable = _materialize_codes(
-        qall, ok_all, unpred_chunks, fradius, out_dtype
+        qall, ok_all, unpred_chunks, unpred_counts, fradius, out_dtype
     )
-    hit_rate = 1.0 - unpredictable.size / max(1, n_points)
-    return WavefrontResult(codes, unpredictable, hit_rate, dec_wf, plan)
+    return [
+        WavefrontResult(
+            codes[b], unpredictable[b],
+            1.0 - unpredictable[b].size / max(1, n_points), dec_all[b], plan,
+        )
+        for b in range(B)
+    ]
 
 
 def _materialize_codes(
     qall: np.ndarray,
     ok_all: np.ndarray,
     unpred_chunks: list[np.ndarray],
+    unpred_counts: list[np.ndarray],
     fradius: float,
     out_dtype: np.dtype,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn accumulated offsets + predictable mask into final codes."""
-    if unpred_chunks:
-        miss_all = np.logical_not(ok_all)
-        # Wild offsets (outside the code range) sit at miss positions;
-        # zero them before the int cast to avoid undefined conversions.
-        np.copyto(qall, 0.0, where=miss_all)
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Turn accumulated offsets + predictable mask into final codes.
+
+    Returns the ``(B, points)`` codes and each member's unpredictable
+    originals in wavefront order.
+    """
+    B = len(qall)
+    if not unpred_chunks:
         codes = np.add(qall, fradius, out=qall).astype(np.int64)
-        codes[miss_all] = UNPREDICTABLE
-        unpredictable = np.concatenate(unpred_chunks)
-    else:
-        codes = np.add(qall, fradius, out=qall).astype(np.int64)
-        unpredictable = np.zeros(0, dtype=out_dtype)
-    return codes, unpredictable
+        return codes, [np.zeros(0, dtype=out_dtype) for _ in range(B)]
+    miss_all = np.logical_not(ok_all)
+    # Wild offsets (outside the code range) sit at miss positions;
+    # zero them before the int cast to avoid undefined conversions.
+    np.copyto(qall, 0.0, where=miss_all)
+    codes = np.add(qall, fradius, out=qall).astype(np.int64)
+    codes[miss_all] = UNPREDICTABLE
+    values = np.concatenate(unpred_chunks)
+    if B == 1:
+        return codes, [values]
+    # Each plane's chunk is member-major; a stable sort by member keeps
+    # every member's values in wavefront order.
+    counts = np.stack(unpred_counts)
+    member = np.repeat(np.tile(np.arange(B), len(counts)), counts.ravel())
+    values = values[np.argsort(member, kind="stable")]
+    ends = np.cumsum(counts.sum(axis=0, dtype=np.int64), dtype=np.int64)
+    return codes, np.split(values, ends[:-1])
 
 
 def wavefront_decompress(

@@ -432,6 +432,11 @@ class EncodedStream:
         n_symbols = int.from_bytes(buf[0:6], "big")
         block_size = int.from_bytes(buf[6:10], "big")
         payload_len = int.from_bytes(buf[10:16], "big")
+        if block_size == 0 and n_symbols > 0:
+            raise ValueError(
+                f"corrupt EncodedStream: block_size is 0 for {n_symbols} "
+                "symbols"
+            )
         nblocks = (
             0 if n_symbols == 0 else -(-n_symbols // block_size)
         )

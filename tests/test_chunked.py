@@ -24,6 +24,9 @@ from repro.chunked import (
     tiled_container_info,
 )
 from repro.core import compress
+from repro.core import compressor
+from repro.core.compressor import compress_array
+from repro.obs import Collector
 
 
 def _field(shape, dtype=np.float32, seed=7):
@@ -356,3 +359,104 @@ class TestDispatchAndInfo:
         )
         with pytest.raises(ValueError, match="decodes to"):
             decompress_tiled(blob)
+
+
+class TestBatchedTiles:
+    """Same-shape tiles of a slab share wavefront kernel passes; every
+    tile's bytes stay those of compressing it alone."""
+
+    MODES = [("abs", 1e-3), ("rel", 1e-4), ("pw_rel", 1e-3), ("psnr", 60.0)]
+
+    @staticmethod
+    def _field():
+        # 4 x 3 tile grid of (8, 10, 9): full tiles plus 10 x 1 and
+        # 2-row edge tiles, so slabs mix shapes; tile 0 is constant, and
+        # the smooth second slab needs fewer adaptive retries.
+        data = _field((26, 21, 9))
+        data[:8, :10] = 1.5
+        data[8:16] = np.linspace(1.0, 2.0, 8 * 21 * 9).reshape(8, 21, 9)
+        return data
+
+    @pytest.mark.parametrize("mode,bound", MODES, ids=[m for m, _ in MODES])
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tiles_equal_standalone_containers(
+        self, mode, bound, adaptive, workers
+    ):
+        from repro.api import SZConfig
+
+        data = self._field()
+        # A high theta from 4 interval bits makes tiles retry at
+        # different interval counts.
+        cfg = SZConfig.from_kwargs(
+            mode=mode, bound=bound, adaptive=adaptive, theta=0.995,
+            interval_bits=4 if adaptive else 8, workers=workers,
+        )
+        blob = compress_tiled(data, tile_shape=(8, 10, 9), config=cfg)
+        with TiledReader(blob) as reader:
+            grid, entries = reader.grid, reader.entries
+        alone = [
+            compress_array(np.ascontiguousarray(data[grid.tile_slices(i)]),
+                           cfg)[0]
+            for i in range(grid.n_tiles)
+        ]
+        first, last = entries[0], entries[-1]
+        assert blob[first.offset:last.offset + last.length] == b"".join(alone)
+
+    def test_psnr_fallback_reruns_only_missing_tiles(self, monkeypatch):
+        passes = _count_passes(monkeypatch)
+        with Collector() as col:
+            compress_tiled(
+                self._field(), tile_shape=(8, 10, 9), mode="psnr", bound=60.0
+            )
+        retries = col.counters["psnr/retries"]
+        assert 0 < retries < 11  # some of the 11 non-constant tiles
+        # each retry reruns its own tile once, not the tile's whole batch
+        assert sum(shape[0] for shape in passes) == 11 + retries
+
+    def test_one_pass_per_shape_group_and_slab(self, monkeypatch):
+        passes = _count_passes(monkeypatch)
+        compress_tiled(_field((64, 160)), tile_shape=(64, 16), mode="abs",
+                       bound=1e-3)
+        assert passes == [(10, 64, 16)]  # one slab of 10 tiles
+
+    def test_group_above_pass_cap_splits(self, monkeypatch):
+        passes = _count_passes(monkeypatch)
+        monkeypatch.setattr(compressor, "_PASS_VALUES_MAX", 4 * 64 * 16)
+        data = _field((64, 160))
+        blob = compress_tiled(data, tile_shape=(64, 16), mode="abs",
+                              bound=1e-3)
+        assert passes == [(4, 64, 16), (4, 64, 16), (2, 64, 16)]
+        np.testing.assert_array_equal(
+            decompress_tiled(blob),
+            decompress_tiled(compress_tiled(data, tile_shape=(64, 16),
+                                            mode="abs", bound=1e-3)),
+        )
+
+    def test_whole_array_is_a_batch_of_one_view(self, monkeypatch):
+        seen = []
+        real = compressor.wavefront_compress
+
+        def spy(data, eb, plan, radius):
+            seen.append(data)
+            return real(data, eb, plan, radius)
+
+        monkeypatch.setattr(compressor, "wavefront_compress", spy)
+        data = _field((30, 40))
+        compress(data, mode="rel", bound=1e-4)
+        assert len(seen) == 1 and seen[0].shape == (1, 30, 40)
+        assert np.shares_memory(seen[0], data)
+
+
+def _count_passes(monkeypatch):
+    """Record the input shape of every kernel pass the compressor runs."""
+    passes = []
+    real = compressor.wavefront_compress
+
+    def counting(data, eb, plan, radius):
+        passes.append(data.shape)
+        return real(data, eb, plan, radius)
+
+    monkeypatch.setattr(compressor, "wavefront_compress", counting)
+    return passes

@@ -102,6 +102,30 @@ class TestV1Truncation:
             decompress(bytes(blob))
 
 
+@pytest.mark.parametrize("mode", ["abs", "pw_rel"])
+class TestZeroBlockSize:
+    """A ``block_size`` of 0 in the Huffman stream sizes its block index
+    by a division; it must be rejected as corrupt, not divide by zero."""
+
+    @staticmethod
+    def _corrupt(mode):
+        from repro.core.stream import read_container
+
+        blob = bytearray(compress(_field((16, 16, 16)), mode=mode, bound=1e-3))
+        stream = read_container(bytes(blob))[2].to_bytes()
+        start = bytes(blob).index(len(stream).to_bytes(6, "big") + stream) + 6
+        blob[start + 6:start + 10] = bytes(4)  # block_size
+        return bytes(blob)
+
+    def test_decompress_rejects(self, mode):
+        with pytest.raises(ValueError, match="block_size"):
+            decompress(self._corrupt(mode))
+
+    def test_container_info_rejects(self, mode):
+        with pytest.raises(ValueError, match="block_size"):
+            container_info(self._corrupt(mode))
+
+
 class TestV2Truncation:
     @pytest.fixture()
     def container(self):

@@ -381,7 +381,9 @@ class TestCrossProcess:
             compress_tiled(_field(), **self.TILE_KW)
         # before the telemetry job wrapper, workers>1 lost these records
         assert "quantize" in t.records
-        assert t.records["quantize"].calls == 12
+        # one kernel pass per sub-batch: 3 slabs x 2 workers' halves of
+        # each slab's 4 same-shape tiles
+        assert t.records["quantize"].calls == 6
         assert t.records["quantize"].nbytes > 0
 
     def test_single_worker_path_unchanged(self):
@@ -394,6 +396,13 @@ class TestCrossProcess:
         tiles = [s for s in col.spans if s.name == "tile"]
         assert len(tiles) == 12
         assert all(s.lane == 0 for s in tiles)  # in-process: parent lane
+        # per-tile counters survive the shared kernel passes
+        assert col.counters["tile/count"] == 12
+        assert col.counters["quantize/values"] == 9600
+        assert (
+            col.counters["quantize/outliers"]
+            == self._traced_run().counters["quantize/outliers"]
+        )
 
     def test_whole_array_stays_on_parent_lane(self):
         # The tile is the only unit of parallelism: a whole-array run

@@ -120,6 +120,33 @@ class TestEncodeDecode:
             <= eb
         )
 
+    @given(
+        st.sampled_from([(np.float32, np.uint32), (np.float64, np.uint64)]),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+        st.sampled_from([1e-1, 1e-3, 2.0**-10, 1e-7, 1e-30]),
+    )
+    def test_truncate_matches_decoder_on_any_bits(self, types, words, eb):
+        """Any bit pattern (NaN payloads, subnormals, +-0, +-Inf): the
+        inline truncation is exactly what the decoder returns, and a
+        per-element bound acts as the scalar call on each group."""
+        dtype, uint = types
+        bits = np.array(words, dtype=np.uint64)
+        if uint is np.uint32:
+            bits = (bits >> np.uint64(32)).astype(np.uint32)
+        values = bits.view(dtype)
+        _, _, out = roundtrip(values, eb)
+        np.testing.assert_array_equal(
+            truncate_to_bound(values, eb).view(uint), out.view(uint)
+        )
+        ebs = np.where(np.arange(values.size) % 3 == 0, eb, 3.5 * eb)
+        per_element = truncate_to_bound(values, ebs).view(uint)
+        for bound in (eb, 3.5 * eb):
+            group = ebs == bound
+            np.testing.assert_array_equal(
+                per_element[group],
+                truncate_to_bound(values[group], bound).view(uint),
+            )
+
     def test_negative_zero(self):
         values = np.array([-0.0], dtype=np.float64)
         _, _, out = roundtrip(values, 1e-6)

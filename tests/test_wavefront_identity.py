@@ -10,7 +10,8 @@ across dtypes × 1-4 dims × 1-3 layers × adversarial shapes (prime-length
 axes, 1-wide slabs, singleton hyperplanes, NaN/Inf contamination,
 spike-forced unpredictables) and asserts code-for-code and byte-for-byte
 equality against :mod:`repro.core.reference`, for the one N-d kernel path
-and for the public ``compress``/``decompress`` pipeline.
+(alone and as batches of same-shape members with their own bounds) and
+for the public ``compress``/``decompress`` pipeline.
 
 The wavefront order the codes are checked in comes from
 :func:`strategies.wavefront_order`, never from the code under test.
@@ -23,6 +24,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import compress, decompress
 from repro.core.compressor import _PLAN_CACHE
@@ -35,7 +37,12 @@ from repro.core.wavefront import (
     wavefront_decompress,
 )
 
-from strategies import ADVERSARIAL_SHAPES, wavefront_arrays, wavefront_order
+from strategies import (
+    ADVERSARIAL_SHAPES,
+    error_bounds,
+    wavefront_arrays,
+    wavefront_order,
+)
 
 
 def _codes_to_raster(codes_wf, shape):
@@ -47,8 +54,12 @@ def _codes_to_raster(codes_wf, shape):
 def _assert_matches_reference(data, eb, layers, interval_bits):
     radius = interval_radius(interval_bits)
     plan = WavefrontPlan(data.shape, layers)
-    ref_codes, ref_dec = reference_compress(data, eb, layers, radius)
     res = wavefront_compress(data, eb, plan, radius)
+    _assert_result_matches_reference(res, data, eb, plan, radius)
+
+
+def _assert_result_matches_reference(res, data, eb, plan, radius):
+    ref_codes, ref_dec = reference_compress(data, eb, plan.n, radius)
     np.testing.assert_array_equal(
         _codes_to_raster(res.codes, data.shape), ref_codes
     )
@@ -100,6 +111,62 @@ class TestKernelIdentity:
             codes_wf, unpred_wf, plan, eb, radius, data.dtype
         )
         np.testing.assert_array_equal(out, ref_out)
+
+
+@st.composite
+def wavefront_batches(draw):
+    """A same-shape stack of 1, 2 or 5 members with one bound each.
+
+    The first member is a :func:`strategies.wavefront_arrays` draw
+    (spikes, NaN/Inf); the others are a spiked field with a NaN, a smooth
+    field and an all-zero field (no misses), in turn.
+    """
+    data, eb, layers, interval_bits = draw(wavefront_arrays())
+    size = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    members = [data]
+    for k in range(1, size):
+        member = np.cumsum(rng.normal(0.0, 0.25, data.size))
+        if k % 3 == 1 and data.size > 2:
+            member[rng.integers(0, data.size, max(1, data.size // 8))] += 1e4
+            member[rng.integers(0, data.size)] = np.nan
+        elif k % 3 == 0:
+            member[:] = 0.0
+        members.append(member.reshape(data.shape).astype(data.dtype))
+    bounds = [eb] + [draw(error_bounds()) for _ in range(size - 1)]
+    return np.stack(members), bounds, layers, interval_bits
+
+
+class TestBatchIdentity:
+    """A batch runs its members in lockstep through one kernel pass; each
+    member must still match the scalar reference as if it ran alone."""
+
+    @staticmethod
+    def _assert_members(stack, bounds, layers, interval_bits):
+        radius = interval_radius(interval_bits)
+        plan = WavefrontPlan(stack.shape[1:], layers)
+        eb = bounds[0] if len(set(bounds)) == 1 else np.array(bounds)
+        results = wavefront_compress(stack, eb, plan, radius)
+        assert len(results) == len(stack)
+        for member, bound, res in zip(stack, bounds, results):
+            _assert_result_matches_reference(res, member, bound, plan, radius)
+
+    @given(case=wavefront_batches())
+    def test_members_match_reference(self, case):
+        self._assert_members(*case)
+
+    @pytest.mark.parametrize("shape", [(24, 26), (7, 11, 5), (3, 4, 2, 5)],
+                             ids=str)
+    @pytest.mark.parametrize("bounds", [[1e-3] * 3, [1e-3, 1e-1, 1e-5]],
+                             ids=["shared", "per-member"])
+    def test_spiked_members(self, shape, bounds):
+        rng = np.random.default_rng(5)
+        stack = np.cumsum(
+            rng.normal(0, 0.2, (3, int(np.prod(shape)))), axis=1
+        ).astype(np.float32)
+        stack[0, :: max(1, stack.shape[1] // 7)] += 1e3
+        stack[2, 1] = np.inf
+        self._assert_members(stack.reshape(3, *shape), bounds, 1, 8)
 
 
 class TestSpikedPlanVariants:
