@@ -54,6 +54,7 @@ from repro.core.compressor import (  # noqa: F401
     compress_array,
     compress_members,
     decompress,
+    observed,
 )
 from repro.obs.tracer import metric_add, metric_observe, span
 from repro.parallel.pool import pool_map
@@ -70,10 +71,10 @@ def _tiles_job(args) -> list[tuple[bytes, int, int, int]]:
     """
     tiles, config, indices = args
     out = []
-    finishers = compress_members(tiles, config, observe=True)
+    finishers = compress_members(tiles, config)
     for tile, index, finish in zip(tiles, indices, finishers):
         with span("tile", tile=index, shape=tuple(tile.shape)):
-            blob, stats = finish()
+            blob, stats = observed(tile, config, finish)
         hist = stats.code_histogram
         mode_count = int(hist.max()) if hist is not None and hist.size else 0
         nonzero = (

@@ -237,22 +237,24 @@ def compress_array(
     reads ``stats``, it never touches the encode path).
     """
     data = np.asarray(data)
-    return _observed(data, config, partial(_compress_one, data, config))
+
+    def run() -> tuple[bytes, CompressionStats]:
+        (finish,) = compress_members([data], config)
+        return finish()
+
+    return observed(data, config, run)
 
 
-def _compress_one(
-    data: np.ndarray, config: "SZConfig"
-) -> tuple[bytes, CompressionStats]:
-    (out,) = [finish() for finish in compress_members([data], config)]
-    return out
-
-
-def _observed(
+def observed(
     data: np.ndarray,
     config: "SZConfig",
     run: Callable[[], tuple[bytes, CompressionStats]],
 ) -> tuple[bytes, CompressionStats]:
-    """``run()`` under a ``compress`` span, its stats fed to the metrics."""
+    """``run()`` under a ``compress`` span, its stats fed to the metrics.
+
+    ``run`` compresses ``data`` (one array, or one finisher of
+    :func:`compress_members`).
+    """
     collector = active_collector()
     if collector is None:
         return run()
@@ -285,7 +287,7 @@ def _record_compress_metrics(
 
 
 def compress_members(
-    arrays: Sequence[np.ndarray], config: "SZConfig", observe: bool = False
+    arrays: Sequence[np.ndarray], config: "SZConfig"
 ) -> Iterator[Callable[[], tuple[bytes, CompressionStats]]]:
     """Compress same-shape arrays through shared wavefront kernel passes.
 
@@ -299,17 +301,14 @@ def compress_members(
     constant shortcut, ``pw_rel`` precondition, repair and side channel,
     bound (``rel``/``psnr`` differ per array), ``psnr`` verification,
     adaptive interval retries, entropy coding and container; a retry
-    reruns only the arrays that need it.  With ``observe`` each finisher
-    records its own ``compress`` span and metrics, as
-    :func:`compress_array` does around a whole run.
+    reruns only the arrays that need it.
     """
     per_pass = max(1, _PASS_VALUES_MAX // max(1, int(np.size(arrays[0]))))
     for lo in range(0, len(arrays), per_pass):
         members = [_Member(a, config) for a in arrays[lo:lo + per_pass]]
         _quantize_members([mb for mb in members if not mb.constant], config)
         for mb in members:
-            finish = partial(_finish, mb, config)
-            yield partial(_observed, mb.data, config, finish) if observe else finish
+            yield partial(_finish, mb, config)
 
 
 class _Member:

@@ -81,9 +81,21 @@ def _classify(values: np.ndarray, eb: float, lo: _Layout):
     bits = values.view(lo.uint).astype(np.uint64)
     sign, exp, mant = _split_fields(bits, lo)
     is_raw = ~np.isfinite(values)
-    is_zero = (~is_raw) & (np.abs(values) <= eb)
+    is_zero = (~is_raw) & _is_zero(values, eb)
     is_normal = ~(is_raw | is_zero)
     return bits, sign, exp, mant, is_zero, is_normal, is_raw
+
+
+def _is_zero(values: np.ndarray, eb: float | np.ndarray) -> np.ndarray:
+    """``|v| <= eb``, compared in the value dtype.
+
+    The bound is rounded to the value dtype first (to float32 for float32
+    values), as a Python-float bound always was, whether ``eb`` is one
+    bound or one per value and whatever its own type.
+    """
+    with np.errstate(over="ignore"):
+        bound = np.asarray(eb, dtype=np.float64).astype(values.dtype)
+    return np.abs(values) <= bound
 
 
 def _eb_floor(eb: float | np.ndarray) -> int | np.ndarray:
@@ -123,7 +135,7 @@ def truncate_to_bound(values: np.ndarray, eb: float | np.ndarray) -> np.ndarray:
         0, lo.mant_bits,
     ).astype(lo.uint)
     out = ((bits >> drop) << drop).view(values.dtype)
-    out[np.abs(values) <= eb] = 0
+    out[_is_zero(values, eb)] = 0
     raw = ~np.isfinite(values)
     out[raw] = values[raw]
     return out

@@ -41,8 +41,7 @@ pins them byte-identical to the scalar reference:
   reconstruction are those of compressing it alone; each member may
   keep its own error bound.  Small arrays pay for per-plane dispatch
   rather than arithmetic, so the tiled writer runs each slab's
-  same-shape tiles as one batch; a whole array is a batch of one, which
-  drops the member axis and runs the single-array loop.
+  same-shape tiles as one batch; a whole array is a batch of one.
 
 The kernels run in one process; parallelism lives a level up, in tiled
 compression, where every tile is an independent array.  One-dimensional
@@ -337,21 +336,15 @@ def _wavefront_compress(
     idt = resolve_interior_dtype(out_dtype)
     n_points = prod(plan.shape)
     flat = np.ascontiguousarray(batch).reshape(B, n_points)
-    dec_all = np.empty((B, n_points), dtype=idt)
+    src = plan.sheared(flat)
+    dec_wf = np.empty((B, n_points), dtype=idt)
     # Deferred code materialization: raw quantization offsets and the
     # predictable mask accumulate per plane; one vectorized epilogue
     # turns them into codes (cheaper than per-plane int casts).
-    qall = np.empty((B, n_points), dtype=np.float64)
-    ok_all = np.empty((B, n_points), dtype=bool)
-    # A batch of one drops the member axis, so it runs exactly the
-    # single-array loop; otherwise every per-plane array leads with it.
-    lead: tuple[int, ...] = () if B == 1 else (B,)
-    every = (slice(None),) * len(lead)
-    members = 0 if B == 1 else slice(None)
-    src = plan.sheared(flat[members])
-    dec_wf, q_wf, ok_wf_all = dec_all[members], qall[members], ok_all[members]
-    # Unpredictable originals per plane, member after member, and (for
-    # B > 1) how many each member contributed.
+    q_wf = np.empty((B, n_points), dtype=np.float64)
+    ok_wf_all = np.empty((B, n_points), dtype=bool)
+    # Unpredictable originals per plane, member after member, and how
+    # many each member contributed.
     unpred_chunks: list[np.ndarray] = []
     unpred_counts: list[np.ndarray] = []
     wide = np.float64 if idt == np.float32 else None
@@ -371,27 +364,28 @@ def _wavefront_compress(
         q_s = np.empty(size, dtype=np.float64)
         ok_s = np.empty(size, dtype=bool)
         rc_s = np.empty(size, dtype=idt)
+    every = (slice(None),)  # the member axis leads every per-plane array
     planes = zip(
         plan.groups, plan.boxes, plan._cells, plan.bands,
-        cycle(plan.ring(idt, *lead)),
+        cycle(plan.ring(idt, B)),
     )
     with np.errstate(invalid="ignore", over="ignore"):
         for (start, end), box, cells, band, (own_box, terms) in planes:
-            if lead:
-                box, cells = every + box, every + cells
+            box, cells = every + box, every + cells
             if band is None:  # 2-D: the box is the plane
-                shape, m = (*lead, end - start), B * (end - start)
-                qoff = q_wf[..., start:end]
-                ok = ok_wf = ok_wf_all[..., start:end]
+                shape, m = (B, end - start), B * (end - start)
+                qoff = q_wf[:, start:end]
+                ok = ok_wf = ok_wf_all[:, start:end]
                 recon = own_box[box]
             else:
-                shape, m = (*lead, *band.shape), B * band.size
+                shape, m = (B, *band.shape), B * band.size
                 qoff = q_s[:m].reshape(shape)
                 ok = ok_s[:m].reshape(shape)
                 recon = rc_s[:m].reshape(shape)
                 # A mask of the stack's own shape, not the slower mixed
-                # index [:, band].
-                stacked = np.broadcast_to(band, shape) if lead else band
+                # index [:, band]; a batch of one takes the free view
+                # band[None] (broadcast_to costs ~6 us a plane).
+                stacked = band[None] if B == 1 else np.broadcast_to(band, shape)
             pred = pred_s[:m].reshape(shape)
             diff = diff_s[:m].reshape(shape)
             err = tmp_s[:m].reshape(shape)
@@ -425,36 +419,34 @@ def _wavefront_compress(
             np.less_equal(err, ebs, out=bounded)
             np.logical_and(ok, bounded, out=ok)
             if band is not None:
-                q_wf[..., start:end] = qoff[stacked].reshape(*lead, -1)
-                ok_wf = ok_wf_all[..., start:end]
-                ok_wf[...] = ok[stacked].reshape(*lead, -1)
+                q_wf[:, start:end] = qoff[stacked].reshape(B, -1)
+                ok_wf = ok_wf_all[:, start:end]
+                ok_wf[...] = ok[stacked].reshape(B, -1)
             if not ok_wf.all():
                 miss = bounded
                 np.logical_not(ok, out=miss)
                 if band is not None:
                     np.logical_and(miss, band, out=miss)
                 originals = x[miss]
+                counts = np.count_nonzero(miss.reshape(B, -1), axis=1)
                 unpred_chunks.append(originals)
-                bound = eb
-                if lead:
-                    counts = np.count_nonzero(miss.reshape(B, -1), axis=1)
-                    unpred_counts.append(counts)
-                    if not shared:
-                        bound = np.repeat(eb_arr, counts)
-                recon[miss] = truncate_to_bound(originals, bound)
+                unpred_counts.append(counts)
+                recon[miss] = truncate_to_bound(
+                    originals, eb if shared else np.repeat(eb_arr, counts)
+                )
             if band is None:
-                dec_wf[..., start:end] = recon
+                dec_wf[:, start:end] = recon
             else:
                 np.copyto(own_box[box], recon, where=band)
-                dec_wf[..., start:end] = recon[stacked].reshape(*lead, -1)
+                dec_wf[:, start:end] = recon[stacked].reshape(B, -1)
 
     codes, unpredictable = _materialize_codes(
-        qall, ok_all, unpred_chunks, unpred_counts, fradius, out_dtype
+        q_wf, ok_wf_all, unpred_chunks, unpred_counts, fradius, out_dtype
     )
     return [
         WavefrontResult(
             codes[b], unpredictable[b],
-            1.0 - unpredictable[b].size / max(1, n_points), dec_all[b], plan,
+            1.0 - unpredictable[b].size / max(1, n_points), dec_wf[b], plan,
         )
         for b in range(B)
     ]
@@ -483,14 +475,11 @@ def _materialize_codes(
     np.copyto(qall, 0.0, where=miss_all)
     codes = np.add(qall, fradius, out=qall).astype(np.int64)
     codes[miss_all] = UNPREDICTABLE
-    values = np.concatenate(unpred_chunks)
-    if B == 1:
-        return codes, [values]
     # Each plane's chunk is member-major; a stable sort by member keeps
     # every member's values in wavefront order.
     counts = np.stack(unpred_counts)
     member = np.repeat(np.tile(np.arange(B), len(counts)), counts.ravel())
-    values = values[np.argsort(member, kind="stable")]
+    values = np.concatenate(unpred_chunks)[np.argsort(member, kind="stable")]
     ends = np.cumsum(counts.sum(axis=0, dtype=np.int64), dtype=np.int64)
     return codes, np.split(values, ends[:-1])
 

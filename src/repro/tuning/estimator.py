@@ -243,7 +243,7 @@ def _measure_assembled(
     (a missed prediction just lands in the unpredictable store).
     """
     from repro.core.compressor import _get_plan
-    from repro.core.wavefront import wavefront_compress
+    from repro.core.wavefront import WavefrontResult, wavefront_compress
 
     radius = interval_radius(config.interval_bits)
     side = b""
@@ -251,12 +251,14 @@ def _measure_assembled(
         logs, flags, signs = pw_precondition(block)
         plan = _get_plan(logs.shape, config.layers)
         result = wavefront_compress(logs, eb, plan, radius)
+        assert isinstance(result, WavefrontResult)  # one array, one result
         pw_apply_repairs(block, result.decompressed, flags, signs, bound)
         side = pw_encode_side(block, flags, signs)
         recon = pw_postcondition(result.decompressed, side, block.dtype)
     else:
         plan = _get_plan(block.shape, config.layers)
         result = wavefront_compress(block, eb, plan, radius)
+        assert isinstance(result, WavefrontResult)
         recon = result.decompressed
 
     # The kernel emits codes in wavefront order; regions slice rasters.

@@ -404,6 +404,37 @@ class TestBatchedTiles:
         first, last = entries[0], entries[-1]
         assert blob[first.offset:last.offset + last.length] == b"".join(alone)
 
+    def test_per_tile_bounds_keep_bound_sized_spikes(self):
+        # Two float32 tiles of ranges 1 and 2 resolve rel 1e-3 to the
+        # bounds 1e-3 and 2e-3, so their pass carries one bound per tile.
+        # After a NaN each holds unpredictable values equal to its bound
+        # rounded to float32 (rounded up), which the decoder rebuilds as
+        # 0.0; the small field after them predicts from that 0.0.
+        from repro.api import SZConfig
+
+        base = (3e-4 * np.sin(np.arange(80) / 3.0)).reshape(8, 10)
+        base[0, 0], base[-1, -1] = -0.5, 0.5
+        data = np.hstack([base, 2.0 * base]).astype(np.float32)
+        data[2:6, [2, 12]] = np.nan
+        data[2:6, 3] = np.float32(1e-3)
+        data[2:6, 13] = np.float32(2e-3)
+        data[4, [3, 13]] *= -1
+        cfg = SZConfig.from_kwargs(mode="rel", bound=1e-3, adaptive=False)
+        blob = compress_tiled(data, tile_shape=(8, 10), config=cfg)
+        alone = [compress_array(np.ascontiguousarray(data[:, s]), cfg)
+                 for s in (slice(0, 10), slice(10, 20))]
+        assert [stats.eb_abs for _, stats in alone] == [1e-3, 2e-3]
+        with TiledReader(blob) as reader:
+            first, last = reader.entries[0], reader.entries[-1]
+        assert blob[first.offset:last.offset + last.length] == b"".join(
+            a for a, _ in alone
+        )
+        # The zero flag compares in float32, so a spike reconstructs as
+        # 0.0 within its bound rounded to float32.
+        err = np.abs(decompress_tiled(blob) - data)
+        assert np.nanmax(err[:, :10]) <= np.float32(1e-3)
+        assert np.nanmax(err[:, 10:]) <= np.float32(2e-3)
+
     def test_psnr_fallback_reruns_only_missing_tiles(self, monkeypatch):
         passes = _count_passes(monkeypatch)
         with Collector() as col:

@@ -147,6 +147,28 @@ class TestEncodeDecode:
                 truncate_to_bound(values[group], bound).view(uint),
             )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("eb", [1e-3, 1e-4, 0.3])
+    def test_value_at_the_rounded_bound(self, dtype, eb):
+        """A value equal to the bound rounded to its dtype is stored as a
+        zero, whether the bound is a Python float, a NumPy scalar or one
+        per value (float32 rounds 1e-3 and 0.3 up, 1e-4 down)."""
+        at = dtype(eb)
+        values = np.array(
+            [at, -at, np.nextafter(at, dtype(1)), np.nextafter(at, dtype(0))],
+            dtype=dtype,
+        )
+        _, _, out = roundtrip(values, eb)
+        expected = truncate_to_bound(values, eb)
+        np.testing.assert_array_equal(expected, out)
+        assert expected[0] == 0 and expected[1] == 0
+        for bound in (np.float64(eb), np.full(values.size, eb)):
+            np.testing.assert_array_equal(
+                truncate_to_bound(values, bound), expected
+            )
+        np.testing.assert_array_equal(roundtrip(values, np.float64(eb))[2],
+                                      expected)
+
     def test_negative_zero(self):
         values = np.array([-0.0], dtype=np.float64)
         _, _, out = roundtrip(values, 1e-6)

@@ -168,6 +168,43 @@ class TestBatchIdentity:
         stack[2, 1] = np.inf
         self._assert_members(stack.reshape(3, *shape), bounds, 1, 8)
 
+    @pytest.mark.parametrize("shape", [(24, 26), (7, 11, 5)], ids=str)
+    def test_spike_at_the_rounded_bound(self, shape):
+        # Each member holds an unpredictable value equal to its own bound
+        # rounded to float32, which float32 rounds up for these bounds:
+        # it must reconstruct as the decoder's 0.0 under per-member
+        # bounds too, or every later prediction drifts.
+        bounds = [1e-3, 2e-3]
+        rng = np.random.default_rng(9)
+        stack = 100.0 + np.cumsum(
+            rng.normal(0, 0.2, (2, int(np.prod(shape)))), axis=1
+        ).astype(np.float32)
+        for member, bound in zip(stack, bounds):
+            member[:: max(1, member.size // 5)] = np.float32(bound)
+            member[1::max(1, member.size // 5)] = -np.float32(bound)
+        self._assert_members(stack.reshape(2, *shape), bounds, 1, 8)
+
+    @pytest.mark.parametrize("shape", [(9, 7), (4, 5, 6)], ids=str)
+    def test_one_member_with_a_bound_array(self, shape):
+        data = _spiked(shape)
+        plan = WavefrontPlan(shape, 1)
+        radius = interval_radius(8)
+        (stacked,) = wavefront_compress(data[None], np.array([1e-3]), plan,
+                                        radius)
+        _assert_result_matches_reference(stacked, data, 1e-3, plan, radius)
+        alone = wavefront_compress(data, np.array([1e-3]), plan, radius)
+        _assert_result_matches_reference(alone, data, 1e-3, plan, radius)
+
+
+def _spiked(shape):
+    """A float32 random walk with a spike every ~size/7 points."""
+    rng = np.random.default_rng(11)
+    data = np.cumsum(
+        rng.normal(0, 0.2, int(np.prod(shape)))
+    ).reshape(shape).astype(np.float32)
+    data.reshape(-1)[:: max(1, data.size // 7)] += 1e3
+    return data
+
 
 class TestSpikedPlanVariants:
     """Deterministic spike-forced cases.
@@ -180,12 +217,7 @@ class TestSpikedPlanVariants:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_matches_reference(self, shape):
-        rng = np.random.default_rng(11)
-        data = np.cumsum(
-            rng.normal(0, 0.2, int(np.prod(shape)))
-        ).reshape(shape).astype(np.float32)
-        data.reshape(-1)[:: max(1, data.size // 7)] += 1e3
-        _assert_matches_reference(data, 1e-3, 1, 8)
+        _assert_matches_reference(_spiked(shape), 1e-3, 1, 8)
 
 
 class TestMovingAxis:
