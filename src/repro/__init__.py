@@ -19,7 +19,7 @@ Or through the canonical config/codec objects (``repro.api``):
 >>> assert codec.decode(codec.encode(data)).shape == data.shape
 """
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 from repro.api import Codec, SZConfig, get_codec, register_codec
 from repro.chunked import (

@@ -680,7 +680,9 @@ def main(argv: list[str] | None = None) -> int:
     p_b.add_argument("--out", default="BENCH_micro.json")
     p_b.add_argument(
         "--trace", default=None, metavar="OUT.json",
-        help="record the sweep's spans/metrics as a repro-obs/1 run report",
+        help="also write the timed repeats' spans/metrics as a repro-obs/1 "
+             "run report (the stage table reads the same spans, so "
+             "tracing adds no overhead of its own)",
     )
     p_b.set_defaults(func=_cmd_bench)
 

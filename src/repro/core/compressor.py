@@ -67,8 +67,7 @@ from repro.encoding.coders import (
     coder_for_flags,
     get_entropy_coder,
 )
-from repro.obs.tracer import Collector, active_collector
-from repro.perf import stage
+from repro.obs.tracer import Collector, active_collector, span
 
 if TYPE_CHECKING:
     from repro.api.config import SZConfig
@@ -184,10 +183,10 @@ def _emit_container(
     (``np.bincount`` over the full alphabet) — callers that also need it
     for diagnostics pass it in so the pass over the codes runs once.
     """
-    with stage("unpredictable", nbytes=result.unpredictable.nbytes):
+    with span("unpredictable", bytes=result.unpredictable.nbytes):
         unpred_payload, _ = encode_unpredictable(result.unpredictable, eb)
     coder = get_entropy_coder(entropy_coder)
-    with stage("entropy", nbytes=result.codes.nbytes):
+    with span("entropy", bytes=result.codes.nbytes):
         payload = coder.encode(
             result.codes,
             interval_bits=m,
@@ -487,7 +486,7 @@ def _finish(mb: _Member, config: "SZConfig") -> tuple[bytes, CompressionStats]:
         side_payload=side, code_hist=code_hist,
     )
     if config.lossless_post:
-        with stage("lossless_post", nbytes=len(blob)):
+        with span("lossless_post", bytes=len(blob)):
             blob = wrap(blob)
     stats = CompressionStats(
         eb_abs=eb,
@@ -675,7 +674,7 @@ def decompress(blob: Any, out: Any = None) -> np.ndarray:
 
 def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
     blob = _as_byte_view(blob)
-    with stage("lossless_unwrap", nbytes=len(blob)):
+    with span("lossless_unwrap", bytes=len(blob)):
         blob = unwrap(blob)
     header, codec, stream, unpred_payload, constant, arith = read_container(blob)
     if header.is_constant:
@@ -700,7 +699,7 @@ def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
             int(stream.payload.nbytes) if stream is not None
             else len(arith or b"")
         )
-        with stage("entropy", nbytes=nbytes):
+        with span("entropy", bytes=nbytes):
             codes = coder.decode(
                 payload, expected=expected,
                 interval_bits=header.interval_bits,
@@ -709,7 +708,7 @@ def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
             raise ValueError(
                 f"corrupt container: {codes.size} codes for {expected} points"
             )
-        with stage("unpredictable", nbytes=len(unpred_payload)):
+        with span("unpredictable", bytes=len(unpred_payload)):
             unpred_recon = decode_unpredictable(
                 unpred_payload, header.unpred_count, header.eb_abs, inner_dtype
             )

@@ -35,7 +35,7 @@ from repro.core.bounds import CODE_MODES, MODE_CODES, MODED_MODES
 from repro.core.predictor import MAX_LAYERS
 from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.huffman import EncodedStream, HuffmanCodec
-from repro.perf import stage
+from repro.obs.tracer import span
 
 __all__ = [
     "Header",
@@ -116,7 +116,7 @@ def write_container(
     constant_value: float = 0.0,
     arith_payload: bytes | None = None,
 ) -> bytes:
-    with stage("container_write"):
+    with span("container_write"):
         return _write_container(
             header, codec, stream, unpred_payload, constant_value, arith_payload
         )
@@ -185,7 +185,7 @@ def read_container(
     arithmetic payload)``; the codec/stream pair and the arithmetic
     payload are mutually exclusive depending on ``header.is_arithmetic``.
     """
-    with stage("container_read", nbytes=len(blob)):
+    with span("container_read", bytes=len(blob)):
         return _read_container(blob)
 
 

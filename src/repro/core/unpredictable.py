@@ -87,15 +87,17 @@ def _classify(values: np.ndarray, eb: float, lo: _Layout):
 
 
 def _is_zero(values: np.ndarray, eb: float | np.ndarray) -> np.ndarray:
-    """``|v| <= eb``, compared in the value dtype.
+    """``|v| <= eb``, compared in float64.
 
-    The bound is rounded to the value dtype first (to float32 for float32
-    values), as a Python-float bound always was, whether ``eb`` is one
-    bound or one per value and whatever its own type.
+    The bound is never rounded to the value dtype: float32 rounds some
+    bounds up (1e-3, 0.3), and a value between the bound and its
+    rounding would then decode as 0.0 with an error above the bound.
+    This holds whether ``eb`` is one bound or one per value and
+    whatever its own type.
     """
-    with np.errstate(over="ignore"):
-        bound = np.asarray(eb, dtype=np.float64).astype(values.dtype)
-    return np.abs(values) <= bound
+    return np.abs(values).astype(np.float64, copy=False) <= np.asarray(
+        eb, dtype=np.float64
+    )
 
 
 def _eb_floor(eb: float | np.ndarray) -> int | np.ndarray:

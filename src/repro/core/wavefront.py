@@ -62,7 +62,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.core.predictor import prediction_stencil, unit_coeff_signs
 from repro.core.quantizer import UNPREDICTABLE, resolve_interior_dtype
 from repro.core.unpredictable import truncate_to_bound
-from repro.perf import stage
+from repro.obs.tracer import span
 
 __all__ = ["WavefrontPlan", "wavefront_compress", "wavefront_decompress"]
 
@@ -314,7 +314,7 @@ def wavefront_compress(
     member or one per member, and the call returns one result per
     member, each identical to compressing that member alone.
     """
-    with stage("quantize", nbytes=data.nbytes):
+    with span("quantize", bytes=data.nbytes):
         if data.ndim == len(plan.shape):
             return _wavefront_compress(data[None], eb, plan, radius)[0]
         return _wavefront_compress(data, eb, plan, radius)
@@ -494,7 +494,7 @@ def wavefront_decompress(
 ) -> np.ndarray:
     """Replay prediction from codes; inverse of :func:`wavefront_compress`."""
     nbytes = prod(plan.shape) * np.dtype(out_dtype).itemsize
-    with stage("dequantize", nbytes=nbytes):
+    with span("dequantize", bytes=nbytes):
         return _wavefront_decompress(
             codes, unpred_recon, plan, eb, radius, out_dtype
         )

@@ -35,8 +35,7 @@ from repro.encoding.bitio import (
     gather_windows64,
     pack_varlen,
 )
-from repro.obs.tracer import active_collector
-from repro.perf import stage
+from repro.obs.tracer import active_collector, span
 
 __all__ = ["HuffmanCodec", "EncodedStream", "huffman_code_lengths"]
 
@@ -715,7 +714,7 @@ class HuffmanCodec:
                 )
                 collector.observe("huffman/table_depth", float(self.max_len))
                 collector.observe("huffman/table_symbols", float(present.size))
-        with stage("huffman_encode", nbytes=symbols.nbytes):
+        with span("huffman_encode", bytes=symbols.nbytes):
             if validate and symbols.size and (
                 symbols.min() < 0 or symbols.max() >= self.alphabet_size
             ):
@@ -752,7 +751,7 @@ class HuffmanCodec:
 
     def decode(self, stream: EncodedStream) -> np.ndarray:
         """Block-parallel vectorized decode of an :class:`EncodedStream`."""
-        with stage("huffman_decode", nbytes=int(stream.payload.nbytes)):
+        with span("huffman_decode", bytes=int(stream.payload.nbytes)):
             return self._decode_impl(stream)
 
     def _decode_impl(self, stream: EncodedStream) -> np.ndarray:

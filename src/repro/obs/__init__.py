@@ -3,7 +3,9 @@
 * :mod:`repro.obs.tracer` — the :class:`Collector` (contextvar-activated
   span tree + metrics registry) and the module-level no-op-when-disabled
   hooks (:func:`span`, :func:`metric_add`, :func:`metric_observe`,
-  :func:`metric_hist`, :func:`annotate`) the pipeline calls.
+  :func:`metric_hist`, :func:`annotate`) the pipeline calls.  The
+  pipeline's stage spans are its only stage instrumentation: the bench
+  (:mod:`repro.perf.bench`) reads its per-stage table from them too.
 * :mod:`repro.obs.export` — the schema-versioned run report
   (``repro-obs/1``), its validator, the Chrome trace-event export
   (``chrome://tracing`` / Perfetto loadable) and the text summary.

@@ -2,19 +2,22 @@
 
 A :class:`Collector` gathers two kinds of telemetry from one run:
 
-* **spans** — a tree of named, timestamped intervals.  The pipeline's
-  existing :func:`repro.perf.stage` hook feeds it automatically (every
-  ``stage("quantize")`` becomes a span), and subsystems add their own
-  spans (``compress``, ``decompress``, ``tile``) with attributes.
+* **spans** — a tree of named, timestamped intervals.  Each operation
+  records under a ``compress`` or ``decompress`` root span, and the
+  pipeline wraps each of its stages in :func:`span` (``quantize``,
+  ``entropy`` > ``huffman_encode``, ``container_write``, ...) with the
+  bytes it processed as a ``bytes`` attribute.  Subsystems add their
+  own spans (``tile``, ``estimate``, ``tune``).  The bench's per-stage
+  table (:mod:`repro.perf.bench`) is read from this tree.
 * **metrics** — counters (monotonic sums, e.g. quantization outliers),
   observations (count/sum/min/max summaries, e.g. per-tile compression
   factor) and bin-count histograms (e.g. Huffman code lengths).
 
-Like :class:`repro.perf.StageTimer`, a collector activates through a
-context variable, so the disabled path costs one context-variable read
-and nothing is ever recorded unless a caller opts in — compression
-output is byte-identical with and without a collector (telemetry only
-observes, it never feeds encoded bytes).
+A collector activates through a context variable, so the disabled
+path costs one context-variable read and nothing is ever recorded
+unless a caller opts in — compression output is byte-identical with and
+without a collector (telemetry only observes, it never feeds encoded
+bytes).
 
 Cross-process runs serialize a worker's collector with
 :meth:`Collector.to_payload` and graft it into the parent with
@@ -304,7 +307,7 @@ def span(name: str, **attrs: Any) -> "_SpanCtx | _NullSpan":
     collector = _ACTIVE.get()
     if collector is None:
         return _NULL_SPAN
-    return collector.span(name, **attrs)
+    return _SpanCtx(collector, name, attrs)
 
 
 def annotate(**attrs: Any) -> None:

@@ -12,13 +12,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
 from repro.core import compress as sz_compress
 from repro.obs.tracer import Collector, active_collector
-from repro.perf.timer import StageTimer, active_timer
 
 __all__ = [
     "parallel_compress",
@@ -47,24 +45,17 @@ def chunk_array(data: np.ndarray, n_chunks: int) -> list[np.ndarray]:
 
 
 def _telemetry_job(args):
-    """Run one item under fresh worker-local instruments.
+    """Run one item under a fresh worker-local collector.
 
     Dispatched instead of the bare ``fn`` when the parent had a
-    :class:`~repro.perf.StageTimer` and/or :class:`~repro.obs.Collector`
-    active: context variables do not cross process boundaries, so the
-    worker activates its own and ships the collected telemetry back with
-    the result for the parent to merge.
+    :class:`~repro.obs.Collector` active: context variables do not cross
+    process boundaries, so the worker activates its own and ships the
+    collected telemetry back with the result for the parent to merge.
     """
-    fn, item, want_stages, want_obs = args
-    timer = StageTimer() if want_stages else None
-    collector = Collector() if want_obs else None
-    with timer or nullcontext(), collector or nullcontext():
+    fn, item = args
+    with Collector() as collector:
         result = fn(item)
-    return (
-        result,
-        timer.records if timer is not None else None,
-        collector.to_payload() if collector is not None else None,
-    )
+    return result, collector.to_payload()
 
 
 def pool_map(fn, items: list, n_workers: int | None = None) -> list:
@@ -75,32 +66,24 @@ def pool_map(fn, items: list, n_workers: int | None = None) -> list:
     way, so callers get deterministic output independent of worker count.
 
     Telemetry crosses the pool: when the caller has an active
-    :class:`~repro.perf.StageTimer` or :class:`~repro.obs.Collector`,
-    each worker runs its item under fresh local instruments and returns
-    their records alongside the result; the parent merges them (stage
-    aggregates accumulate, worker spans graft under the caller's open
-    span with per-item attribution and a lane per worker process).
+    :class:`~repro.obs.Collector`, each worker runs its item under a
+    fresh local collector and returns its payload alongside the result;
+    the parent grafts the worker spans under its open span, with
+    per-item attribution and a lane per worker process, and folds in
+    the worker metrics.
     """
     n_workers = n_workers or os.cpu_count() or 1
     if n_workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    timer = active_timer()
     collector = active_collector()
-    if timer is None and collector is None:
+    if collector is None:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(fn, items))
-    jobs = [
-        (fn, item, timer is not None, collector is not None)
-        for item in items
-    ]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        shipped = list(pool.map(_telemetry_job, jobs))
+        shipped = list(pool.map(_telemetry_job, [(fn, item) for item in items]))
     results = []
-    for i, (result, records, payload) in enumerate(shipped):
-        if timer is not None and records is not None:
-            timer.merge_records(records)
-        if collector is not None and payload is not None:
-            collector.merge_payload(payload, attrs={"item": i})
+    for i, (result, payload) in enumerate(shipped):
+        collector.merge_payload(payload, attrs={"item": i})
         results.append(result)
     return results
 

@@ -1,16 +1,13 @@
-"""Performance substrate: stage instrumentation, bench runner, CI gate.
+"""Performance substrate: bench runner and CI gate.
 
-* :mod:`repro.perf.timer` — :class:`StageTimer` and the :func:`stage`
-  hook the pipeline modules call around their hot sections (near-free
-  when no timer is active).
 * :mod:`repro.perf.bench` — ``python -m repro.perf.bench`` sweeps
   {dtype x dims x mode} and writes the schema-versioned
-  ``BENCH_micro.json`` perf-trajectory point.
+  ``BENCH_micro.json`` perf-trajectory point.  Its per-stage table is
+  read from the :mod:`repro.obs` span tree each timed repeat records.
 * :mod:`repro.perf.gate` — ``python -m repro.perf.gate`` compares a
   fresh run against the committed baseline and fails CI on a >1.5x
   per-stage slowdown.
+
+The pipeline's stage hooks are :func:`repro.obs.span` calls; profile a
+call of your own under a :class:`repro.obs.Collector`.
 """
-
-from repro.perf.timer import StageRecord, StageTimer, active_timer, stage
-
-__all__ = ["StageRecord", "StageTimer", "active_timer", "stage"]

@@ -3,10 +3,15 @@
 Runs ``{dtype} x {dims} x {mode}`` compression/decompression cases at a
 chosen size scale, aggregates medians over repeats, and writes a
 schema-versioned JSON report with machine info, git revision, end-to-end
-throughput and the per-stage breakdown collected by
-:mod:`repro.perf.timer`.  The committed ``BENCH_*.json`` files form the
-repo's performance trajectory; the CI gate (:mod:`repro.perf.gate`)
-compares a fresh run against ``benchmarks/baselines/bench_baseline.json``.
+throughput and a per-stage breakdown.  Every timed repeat runs under a
+:class:`repro.obs.Collector` (the active one, e.g. ``--trace``'s, or a
+fresh one), and the breakdown is read from the spans that repeat added:
+a stage path joins the span names below the operation's ``compress`` /
+``decompress`` root with ``/`` (``entropy/huffman_encode``), and its
+seconds include its child spans.  The committed ``BENCH_*.json`` files
+form the repo's performance trajectory; the CI gate
+(:mod:`repro.perf.gate`) compares a fresh run against
+``benchmarks/baselines/bench_baseline.json``.
 
 Usage::
 
@@ -28,11 +33,13 @@ import platform
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
+from statistics import median
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.perf.timer import StageTimer, _median
+from repro.obs.tracer import Collector, SpanRecord, active_collector
 
 if TYPE_CHECKING:
     from repro.api import SZConfig
@@ -61,6 +68,57 @@ _DEFAULT_MODES = ("abs", "rel")
 _ALL_MODES = ("abs", "rel", "pw_rel", "psnr")
 _DEFAULT_KINDS = ("sweep",)
 _ALL_KINDS = ("sweep", "estimate")
+
+#: one stage path's ``{calls, seconds, bytes, mb_per_s}`` record
+Stage = dict[str, float]
+
+
+def _stage(calls: float, seconds: float, nbytes: float) -> Stage:
+    mb = nbytes / seconds / 1e6 if seconds > 0 and nbytes > 0 else 0.0
+    return {"calls": calls, "seconds": seconds, "bytes": nbytes, "mb_per_s": mb}
+
+
+def _stage_table(spans: Sequence[SpanRecord], first: int = 0) -> dict[str, Stage]:
+    """Per-path ``{calls, seconds, bytes, mb_per_s}`` of ``spans[first:]``.
+
+    A span whose parent precedes ``first`` is an operation's root and
+    records nothing itself; a span below it records under the
+    slash-joined names from the root's child down.  Spans are stored in
+    start order, so every parent path is known before its children.
+    """
+    paths: dict[int, str] = {}
+    totals: dict[str, tuple[int, float, int]] = {}
+    for index in range(first, len(spans)):
+        rec = spans[index]
+        if rec.parent < first:
+            paths[index] = ""
+            continue
+        above = paths[rec.parent]
+        path = paths[index] = f"{above}/{rec.name}" if above else rec.name
+        calls, seconds, nbytes = totals.get(path, (0, 0.0, 0))
+        totals[path] = (
+            calls + 1,
+            seconds + rec.duration,
+            nbytes + int(rec.attrs.get("bytes", 0)),
+        )
+    return {path: _stage(*totals[path]) for path in sorted(totals)}
+
+
+def _median_stages(tables: Sequence[dict[str, Stage]]) -> dict[str, Stage]:
+    """Per-path medians across repeats, over the repeats that saw a path.
+
+    ``calls`` and ``bytes`` take the median too; a deterministic
+    workload repeats them exactly.
+    """
+    out: dict[str, Stage] = {}
+    for path in sorted({path for table in tables for path in table}):
+        recs = [table[path] for table in tables if path in table]
+        out[path] = _stage(
+            int(median([r["calls"] for r in recs])),
+            median([r["seconds"] for r in recs]),
+            int(median([r["bytes"] for r in recs])),
+        )
+    return out
 
 
 def synth_field(shape: tuple[int, ...], dtype: str, seed: int = 0) -> np.ndarray:
@@ -135,7 +193,6 @@ def _run_case(
     repeats: int,
 ) -> dict[str, Any]:
     from repro.api import Codec
-    from repro.obs import Collector
 
     field = synth_field(shape, dtype, seed=len(shape))
     codec = Codec(_mode_config(mode))
@@ -157,23 +214,27 @@ def _run_case(
 
     c_times: list[float] = []
     d_times: list[float] = []
-    c_timers: list[StageTimer] = []
-    d_timers: list[StageTimer] = []
-    for _ in range(repeats):
-        with StageTimer() as ct:
+    c_tables: list[dict[str, Stage]] = []
+    d_tables: list[dict[str, Stage]] = []
+    # The timed repeats record into the active collector, so a --trace
+    # run report holds exactly the spans the stage table is read from.
+    collector = active_collector() or Collector()
+    with collector:
+        for _ in range(repeats):
+            first = len(collector.spans)
             t0 = time.perf_counter()
             blob = codec.encode(field)
             c_times.append(time.perf_counter() - t0)
-        c_timers.append(ct)
-        with StageTimer() as dt_:
+            c_tables.append(_stage_table(collector.spans, first))
+            first = len(collector.spans)
             t0 = time.perf_counter()
             out = codec.decode(blob)
             d_times.append(time.perf_counter() - t0)
-        d_timers.append(dt_)
+            d_tables.append(_stage_table(collector.spans, first))
     if out.shape != field.shape:
         raise RuntimeError(f"bench case {name}: round-trip shape mismatch")
-    c_sec = _median(c_times)
-    d_sec = _median(d_times)
+    c_sec = median(c_times)
+    d_sec = median(d_times)
     return {
         "name": name,
         "dtype": dtype,
@@ -186,12 +247,12 @@ def _run_case(
         "compress": {
             "seconds": c_sec,
             "mb_per_s": field.nbytes / c_sec / 1e6 if c_sec > 0 else 0.0,
-            "stages": StageTimer.median_stages(c_timers),
+            "stages": _median_stages(c_tables),
         },
         "decompress": {
             "seconds": d_sec,
             "mb_per_s": field.nbytes / d_sec / 1e6 if d_sec > 0 else 0.0,
-            "stages": StageTimer.median_stages(d_timers),
+            "stages": _median_stages(d_tables),
         },
         "obs": obs_metrics,
     }
@@ -229,8 +290,8 @@ def _run_estimate_case(
         est = estimate(field, config)
         e_times.append(time.perf_counter() - t0)
     actual = field.nbytes / max(1, len(blob))
-    c_sec = _median(c_times)
-    e_sec = _median(e_times)
+    c_sec = median(c_times)
+    e_sec = median(e_times)
     return {
         "name": name,
         "dtype": dtype,
@@ -439,15 +500,13 @@ def main(argv: list[str] | None = None) -> int:
         "--trace",
         default=None,
         metavar="OUT.json",
-        help="record the sweep under a repro.obs Collector and write the "
-             "repro-obs/1 run report (adds tracing overhead to the "
-             "timed sections; use for profiling, not for baselines)",
+        help="also write the timed repeats' spans and metrics as a "
+             "repro-obs/1 run report; the stage table reads the same "
+             "spans, so tracing adds no overhead of its own",
     )
     args = parser.parse_args(argv)
     collector = None
     if args.trace:
-        from repro.obs import Collector
-
         collector = Collector()
         collector.__enter__()
     try:

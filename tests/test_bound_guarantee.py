@@ -182,6 +182,20 @@ class TestDegenerateInputs:
         )
         assert np.isfinite(est.ratio) and est.ratio > 0
 
+    @pytest.mark.parametrize("eb", [1e-3, 0.3])
+    @pytest.mark.parametrize("shape", [(64,), (8, 8), (4, 4, 4)])
+    def test_float32_value_at_rounded_bound(self, eb, shape):
+        # float32 rounds both bounds up, so +-float32(eb) lies just above
+        # eb.  After a NaN such a value is unpredictable, and it must not
+        # be stored as a zero (an error of float32(eb) > eb).
+        assert np.float64(np.float32(eb)) > eb
+        data = np.zeros(64, dtype=np.float32)
+        data[[10, 20]] = np.nan
+        data[11], data[21] = np.float32(eb), -np.float32(eb)
+        data = data.reshape(shape)
+        out = decompress(compress(data, mode="abs", bound=eb))
+        assert verify_bound(data, out, "abs", eb)["ok"]
+
     def test_pw_rel_single_magnitude_mixed_signs(self):
         # Constant log field but non-constant data: the body quantizes a
         # zero-range float64 field; signs come back from the sign plane.

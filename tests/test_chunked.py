@@ -408,8 +408,8 @@ class TestBatchedTiles:
         # Two float32 tiles of ranges 1 and 2 resolve rel 1e-3 to the
         # bounds 1e-3 and 2e-3, so their pass carries one bound per tile.
         # After a NaN each holds unpredictable values equal to its bound
-        # rounded to float32 (rounded up), which the decoder rebuilds as
-        # 0.0; the small field after them predicts from that 0.0.
+        # rounded to float32, which rounds up to just above the bound;
+        # the small field after them predicts from their reconstructions.
         from repro.api import SZConfig
 
         base = (3e-4 * np.sin(np.arange(80) / 3.0)).reshape(8, 10)
@@ -429,11 +429,11 @@ class TestBatchedTiles:
         assert blob[first.offset:last.offset + last.length] == b"".join(
             a for a, _ in alone
         )
-        # The zero flag compares in float32, so a spike reconstructs as
-        # 0.0 within its bound rounded to float32.
-        err = np.abs(decompress_tiled(blob) - data)
-        assert np.nanmax(err[:, :10]) <= np.float32(1e-3)
-        assert np.nanmax(err[:, 10:]) <= np.float32(2e-3)
+        # The zero flag compares with the float64 bound, so a spike
+        # above its bound is stored, not zeroed, and stays within it.
+        err = np.abs(decompress_tiled(blob).astype(np.float64) - data)
+        assert np.nanmax(err[:, :10]) <= 1e-3
+        assert np.nanmax(err[:, 10:]) <= 2e-3
 
     def test_psnr_fallback_reruns_only_missing_tiles(self, monkeypatch):
         passes = _count_passes(monkeypatch)

@@ -1,4 +1,4 @@
-"""Tests for archives, quality reports, and axis-layout optimization."""
+"""Tests for archives, quality reports, and per-frame tiling of stacks."""
 
 from __future__ import annotations
 
@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.layout import (
-    compress_sliced,
-    decompress_sliced,
-    suggest_batching,
-)
 from repro.metrics.report import evaluate
 from repro.parallel.files import (
     archive_info,
@@ -159,7 +154,7 @@ class TestQualityReport:
 
 class TestLayout:
     @pytest.fixture()
-    def independent_slices(self, rng):
+    def independent_slices(self):
         """Stack of mutually independent smooth frames (detector frames,
         ensemble members): the case where cross-slice prediction hurts."""
         from repro.datasets.fields import gaussian_random_field
@@ -170,51 +165,16 @@ class TestLayout:
         ]
         return np.stack(frames).astype(np.float32)
 
-    @pytest.fixture()
-    def coherent_volume(self, rng):
-        """Smoothly varying 3-D volume: full-d prediction should win."""
-        z, y, x = np.mgrid[0:6, 0:32, 0:40] / 8.0
-        return (np.sin(x) * np.cos(y) * np.exp(-z)).astype(np.float32)
-
-    def test_suggests_batching_for_independent_frames(self, independent_slices):
-        eb = 1e-3 * float(independent_slices.max() - independent_slices.min())
-        assert suggest_batching(independent_slices, eb)
-
-    def test_keeps_full_d_for_coherent_volume(self, coherent_volume):
-        eb = 1e-3 * float(coherent_volume.max() - coherent_volume.min())
-        assert not suggest_batching(coherent_volume, eb)
-
-    def test_sliced_roundtrip_bound(self, independent_slices):
-        blob = compress_sliced(independent_slices, rel_bound=1e-3)
-        out = decompress_sliced(blob)
-        assert out.shape == independent_slices.shape
-        rng_ = float(independent_slices.max() - independent_slices.min())
-        err = np.abs(
-            out.astype(np.float64) - independent_slices.astype(np.float64)
-        ).max()
-        assert err <= 1e-3 * rng_
-
     def test_slicing_beats_full_d_on_independent_frames(self, independent_slices):
-        naive = repro.compress(independent_slices, mode="rel", bound=1e-3)
-        sliced = compress_sliced(independent_slices, rel_bound=1e-3)
+        # One tile per frame predicts each frame in 2-D only.  The bound
+        # is absolute: tiled ``rel`` would resolve each tile's own range.
+        frames = independent_slices
+        eb = 1e-3 * float(frames.max() - frames.min())
+        naive = repro.compress(frames, mode="abs", bound=eb)
+        sliced = repro.compress_tiled(
+            frames, tile_shape=(1, 64, 64), mode="abs", bound=eb
+        )
         assert len(sliced) < len(naive)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            compress_sliced(rng.standard_normal(10), abs_bound=0.1)
-        with pytest.raises(ValueError):
-            compress_sliced(rng.standard_normal((4, 5)))
-        with pytest.raises(ValueError):
-            decompress_sliced(b"XXXX" + b"\x00" * 10)
-        with pytest.raises(ValueError):
-            suggest_batching(rng.standard_normal((4, 5)), 0.0)
-
-    def test_corrupt_slice_count_rejected_up_front(self):
-        # 12 bytes cannot hold 2**32 - 1 six-byte slice lengths: the
-        # length check must fire before any per-slice loop runs.
-        blob = b"SZSL" + (2**32 - 1).to_bytes(4, "big") + b"\x00" * 4
-        with pytest.raises(ValueError, match="truncated"):
-            decompress_sliced(blob)
-
-    def test_1d_never_batched(self, rng):
-        assert not suggest_batching(rng.standard_normal(100), 0.1)
+        out = repro.decompress_tiled(sliced)
+        err = np.abs(out.astype(np.float64) - frames.astype(np.float64))
+        assert err.max() <= eb

@@ -33,7 +33,6 @@ from repro.obs import (
     write_run_report,
 )
 from repro.obs.tracer import _NULL_SPAN, active_collector, annotate
-from repro.perf.timer import _NULL_STAGE, StageTimer, stage
 
 
 class FakeClock:
@@ -102,7 +101,7 @@ class TestSpans:
     def test_null_singleton_when_inactive(self):
         assert active_collector() is None
         assert span("anything") is _NULL_SPAN
-        assert stage("anything") is _NULL_STAGE
+        assert span("anything", bytes=8) is _NULL_SPAN
         # module-level metric hooks are no-ops, not errors
         metric_add("x")
         metric_observe("x", 1.0)
@@ -375,24 +374,21 @@ class TestCrossProcess:
         assert parent.spans[-1].lane == 1
 
     def test_pool_map_merges_worker_stage_records(self):
-        from repro.chunked.tiled import compress_tiled
-
-        with StageTimer() as t:
-            compress_tiled(_field(), **self.TILE_KW)
-        # before the telemetry job wrapper, workers>1 lost these records
-        assert "quantize" in t.records
+        col = self._traced_run()
+        quantize = [s for s in col.spans if s.name == "quantize"]
         # one kernel pass per sub-batch: 3 slabs x 2 workers' halves of
-        # each slab's 4 same-shape tiles
-        assert t.records["quantize"].calls == 6
-        assert t.records["quantize"].nbytes > 0
+        # each slab's 4 same-shape tiles, each recorded on a worker lane
+        assert len(quantize) == 6
+        assert all(s.attrs["bytes"] > 0 for s in quantize)
+        assert all(s.lane >= 1 for s in quantize)
 
     def test_single_worker_path_unchanged(self):
         from repro.chunked.tiled import compress_tiled
 
         kw = dict(self.TILE_KW, workers=1)
-        with Collector() as col, StageTimer() as t:
+        with Collector() as col:
             compress_tiled(_field(), **kw)
-        assert "quantize" in t.records
+        assert any(s.name == "quantize" for s in col.spans)
         tiles = [s for s in col.spans if s.name == "tile"]
         assert len(tiles) == 12
         assert all(s.lane == 0 for s in tiles)  # in-process: parent lane
@@ -406,36 +402,34 @@ class TestCrossProcess:
 
     def test_whole_array_stays_on_parent_lane(self):
         # The tile is the only unit of parallelism: a whole-array run
-        # with workers>1 records no worker lanes or worker stages.
+        # with workers>1 records no worker lanes or worker spans.
         from repro.api import SZConfig
         from repro.core import decompress
         from repro.core.compressor import compress_array
 
         cfg = SZConfig.from_kwargs(mode="abs", bound=1e-3, workers=2)
-        with Collector() as col, StageTimer() as t:
+        with Collector() as col:
             blob, _ = compress_array(_field((16, 15, 5), seed=2), cfg)
             decompress(blob)
         assert col.lane_pids == {0: os.getpid()}
         assert {s.name for s in col.spans} >= {"quantize", "dequantize"}
         assert all(s.lane == 0 for s in col.spans)
-        assert "quantize" in t.records
-        assert not [name for name in t.records if name.endswith("_worker")]
+        assert not [s.name for s in col.spans if s.name.endswith("_worker")]
 
 
 class TestDisabledOverhead:
     def test_disabled_hooks_allocate_nothing(self):
-        assert span("x") is span("y") is _NULL_SPAN
-        assert stage("x") is stage("y", nbytes=5) is _NULL_STAGE
+        assert span("x") is span("y", bytes=5) is _NULL_SPAN
 
     def test_disabled_hook_is_cheap(self):
-        # Generous absolute guard: 200k disabled stage() calls are two
-        # context-variable reads each and must stay far under a second
+        # Generous absolute guard: 200k disabled stage spans are one
+        # context-variable read each and must stay far under a second
         # even on a loaded CI runner.
         import time as _time
 
         t0 = _time.perf_counter()
         for _ in range(200_000):
-            with stage("hot"):
+            with span("hot", bytes=8):
                 pass
         assert _time.perf_counter() - t0 < 2.0
 

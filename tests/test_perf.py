@@ -1,17 +1,21 @@
-"""Tests for the perf subsystem: StageTimer, bench schema, CI gate."""
+"""Tests for the perf subsystem: span-derived stage table, bench schema, CI gate."""
 
 from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.perf import StageTimer, active_timer, stage
+from repro.obs import Collector, span
+from repro.obs.tracer import active_collector
 from repro.perf.bench import (
     SCALES,
     SCHEMA,
+    _median_stages,
+    _stage_table,
     bench_report,
     calibrate,
     synth_field,
@@ -23,97 +27,105 @@ from repro.perf.gate import (
     stage_coverage_notes,
 )
 
+BASELINE = Path(__file__).parent.parent / "benchmarks" / "baselines" / "bench_baseline.json"
 
-class TestStageTimer:
+
+class TestStageTable:
     def test_records_time_bytes_calls(self):
-        with StageTimer() as t:
-            with stage("work", nbytes=1000):
-                pass
-            with stage("work", nbytes=500):
-                pass
-        rec = t.records["work"]
-        assert rec.calls == 2
-        assert rec.nbytes == 1500
-        assert rec.seconds >= 0.0
+        with Collector() as col:
+            with span("compress"):
+                with span("work", bytes=1000):
+                    pass
+                with span("work", bytes=500):
+                    pass
+        rec = _stage_table(col.spans)["work"]
+        assert rec["calls"] == 2
+        assert rec["bytes"] == 1500
+        assert rec["seconds"] >= 0.0
 
     def test_nesting_builds_slash_paths(self):
-        with StageTimer() as t:
-            with stage("outer"):
-                with stage("inner"):
-                    pass
-                with stage("inner"):
-                    pass
-        assert set(t.records) == {"outer", "outer/inner"}
-        assert t.records["outer/inner"].calls == 2
-        assert t.records["outer"].calls == 1
+        with Collector() as col:
+            with span("compress"):
+                with span("outer"):
+                    with span("inner"):
+                        pass
+                    with span("inner"):
+                        pass
+        table = _stage_table(col.spans)
+        assert set(table) == {"outer", "outer/inner"}  # the root is no stage
+        assert table["outer/inner"]["calls"] == 2
+        assert table["outer"]["calls"] == 1
 
     def test_nested_time_within_parent(self):
-        with StageTimer() as t:
-            with stage("outer"):
-                with stage("inner", nbytes=1):
-                    x = float(np.sum(np.arange(1000.0)))
+        with Collector() as col:
+            with span("compress"):
+                with span("outer"):
+                    with span("inner", bytes=1):
+                        x = float(np.sum(np.arange(1000.0)))
         assert x > 0
-        assert t.records["outer/inner"].seconds <= t.records["outer"].seconds
+        table = _stage_table(col.spans)
+        assert table["outer/inner"]["seconds"] <= table["outer"]["seconds"]
 
-    def test_noop_without_active_timer(self):
-        assert active_timer() is None
-        with stage("nobody-listens", nbytes=10):
-            pass  # must not raise nor record anywhere
+    def test_first_selects_one_operation(self):
+        # Repeats share a collector; each reads only the spans it added,
+        # under whatever span was open when it started.
+        with Collector() as col, span("bench"):
+            with span("compress"):
+                with span("s", bytes=10):
+                    pass
+            first = len(col.spans)
+            with span("compress"):
+                with span("s", bytes=20):
+                    pass
+                with span("only-second"):
+                    pass
+        table = _stage_table(col.spans, first)
+        assert set(table) == {"s", "only-second"}
+        assert (table["s"]["calls"], table["s"]["bytes"]) == (1, 20)
 
     def test_activation_restores_previous(self):
-        with StageTimer() as outer_timer:
-            assert active_timer() is outer_timer
-            with StageTimer() as inner_timer:
-                assert active_timer() is inner_timer
-                with stage("s"):
+        with Collector() as outer:
+            assert active_collector() is outer
+            with Collector() as inner:
+                assert active_collector() is inner
+                with span("s"):
                     pass
-            assert active_timer() is outer_timer
-        assert active_timer() is None
-        assert "s" in inner_timer.records
-        assert "s" not in outer_timer.records
+            assert active_collector() is outer
+        assert active_collector() is None
+        assert [s.name for s in inner.spans] == ["s"]
+        assert outer.spans == []
 
     def test_mb_per_s(self):
-        with StageTimer() as t:
-            with t.stage("s", nbytes=10_000_000):
+        with Collector() as col, span("compress"):
+            with span("s", bytes=10_000_000):
                 pass
-        d = t.as_dict()["s"]
-        assert d["bytes"] == 10_000_000
-        assert d["mb_per_s"] >= 0.0
-
-    def test_merge_accumulates(self):
-        a, b = StageTimer(), StageTimer()
-        with a:
-            with stage("s", nbytes=10):
-                pass
-        with b:
-            with stage("s", nbytes=20):
-                pass
-            with stage("only-b"):
-                pass
-        a.merge(b)
-        assert a.records["s"].calls == 2
-        assert a.records["s"].nbytes == 30
-        assert "only-b" in a.records
+        rec = _stage_table(col.spans)["s"]
+        assert rec["bytes"] == 10_000_000
+        assert rec["mb_per_s"] >= 0.0
 
     def test_median_stages(self):
-        timers = []
+        tables = []
         for nb in (10, 20, 30):
-            t = StageTimer()
-            with t:
-                with stage("s", nbytes=nb):
+            with Collector() as col, span("compress"):
+                with span("s", bytes=nb):
                     pass
-            timers.append(t)
-        med = StageTimer.median_stages(timers)
+                if nb == 30:
+                    with span("only-last"):
+                        pass
+            tables.append(_stage_table(col.spans))
+        med = _median_stages(tables)
         assert med["s"]["bytes"] == 20
         assert med["s"]["calls"] == 1
+        assert med["only-last"]["calls"] == 1  # over the repeats that saw it
 
     def test_exception_still_records(self):
-        with StageTimer() as t:
-            with pytest.raises(RuntimeError):
-                with stage("boom"):
-                    raise RuntimeError("x")
-        assert t.records["boom"].calls == 1
-        assert t._stack == []
+        with Collector() as col:
+            with span("compress"):
+                with pytest.raises(RuntimeError):
+                    with span("boom"):
+                        raise RuntimeError("x")
+        assert _stage_table(col.spans)["boom"]["calls"] == 1
+        assert col._stack == []
 
 
 class TestPipelineInstrumentation:
@@ -121,16 +133,49 @@ class TestPipelineInstrumentation:
         from repro.core import compress, decompress
 
         field = synth_field(SCALES["tiny"][2], "float32", seed=1)
-        with StageTimer() as ct:
+        with Collector() as col:
             blob = compress(field, mode="rel", bound=1e-3)
-        with StageTimer() as dt:
+            first = len(col.spans)
             decompress(blob)
+        # one root span per operation
+        assert [s.name for s in col.spans if s.parent < 0] == [
+            "compress", "decompress",
+        ]
+        ct = _stage_table(col.spans[:first])
+        dt = _stage_table(col.spans, first)
         for key in ("quantize", "entropy", "entropy/huffman_encode",
                     "unpredictable", "container_write"):
-            assert key in ct.records, f"missing compress stage {key}"
+            assert key in ct, f"missing compress stage {key}"
         for key in ("container_read", "entropy", "entropy/huffman_decode",
                     "dequantize", "unpredictable"):
-            assert key in dt.records, f"missing decompress stage {key}"
+            assert key in dt, f"missing decompress stage {key}"
+
+
+class TestBenchStageTable:
+    def test_stage_paths_and_calls_match_baseline(self):
+        # The gate skips stages under its 5 ms floor, so a renamed or
+        # dropped stage there would pass it; pin every path and count.
+        def calls(case, side):
+            return {p: rec["calls"] for p, rec in case[side]["stages"].items()}
+
+        with open(BASELINE) as fh:
+            baseline = {c["name"]: c for c in json.load(fh)["cases"]}
+        report = bench_report(scale="tiny", repeats=1)
+        assert sorted(c["name"] for c in report["cases"]) == sorted(baseline)
+        for case in report["cases"]:
+            for side in ("compress", "decompress"):
+                want = calls(baseline[case["name"]], side)
+                assert calls(case, side) == want, (case["name"], side)
+
+    def test_trace_holds_the_timed_repeats(self):
+        # The timed repeats record into the active collector: a --trace
+        # report holds exactly the spans the stage table counts.
+        with Collector() as col:
+            report = bench_report(scale="tiny", repeats=2, only=("3d-f32-rel",))
+        stages = report["cases"][0]["compress"]["stages"]
+        quantize = [s for s in col.spans if s.name == "quantize"]
+        assert len(quantize) == 2 * stages["quantize"]["calls"] > 0
+        assert sum(s.parent < 0 for s in col.spans) == 4  # 2 x (enc, dec)
 
 
 def _tiny_report(**kw):
@@ -280,13 +325,7 @@ class TestPerfGate:
         assert compare_reports(baseline, fresh, floor_seconds=1e9) == []
 
     def test_committed_baseline_is_valid(self):
-        from pathlib import Path
-
-        path = (
-            Path(__file__).parent.parent
-            / "benchmarks" / "baselines" / "bench_baseline.json"
-        )
-        with open(path) as fh:
+        with open(BASELINE) as fh:
             report = json.load(fh)
         validate_report(report)
         # The CI gate pins these stages on the fresh report; the
