@@ -134,7 +134,8 @@ class FPZIPLike:
 
         width = _WIDTH[dtype]
         uint = _UINT[dtype]
-        buckets = codec.decode(stream)
+        # Signed arithmetic below (buckets - 1): widen the uint16 symbols.
+        buckets = codec.decode(stream).astype(np.int64)
         off_len = np.maximum(buckets - 1, 0)
         offs = unpack_varlen(off_buf, off_len)
         zz = np.where(

@@ -283,7 +283,8 @@ class ISABELA:
         n_full = n // W
         rem = n - n_full * W
         perm_bits = int(np.log2(W))
-        zz = codec.decode(stream)
+        # Signed arithmetic below (the zigzag inverse): widen the symbols.
+        zz = codec.decode(stream).astype(np.int64)
         q = (zz >> 1) ^ -(zz & 1)
 
         coeffs = np.frombuffer(coeff_bytes, dtype=np.float32)

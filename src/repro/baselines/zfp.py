@@ -308,7 +308,8 @@ class ZFPLike:
             lens_stream = EncodedStream.from_bytes(
                 lens_blob[(lr.bitpos + 7) // 8 :]
             )
-            block_bits = lens_codec.decode(lens_stream)
+            # Offsets are summed from these: widen the narrow symbols.
+            block_bits = lens_codec.decode(lens_stream).astype(np.int64)
         else:
             zero_blk = np.zeros(B, dtype=bool)
             emax_bytes = (B * _EMAX_BITS + 7) // 8

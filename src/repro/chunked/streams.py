@@ -23,6 +23,7 @@ rmses).
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,10 @@ class TiledWriter:
         Tile extents; clipped per-axis to ``shape``.  ``None`` picks a
         near-isotropic tile of ~64k values (:func:`default_tile_shape`).
     workers
-        Process-pool width for compressing the tiles of one batch.
+        Process-pool width for compressing the tiles of one batch.  The
+        writer opens one pool on its first batch that needs it and
+        shuts it down in :meth:`close` (or when a ``with`` block exits
+        on an exception), so every slab reuses the same workers.
     config
         An :class:`repro.api.SZConfig` carrying the error bound and all
         pipeline knobs, applied per tile (see module docstring).  Its
@@ -167,6 +171,7 @@ class TiledWriter:
         self._next_tile = 0
         self._next_row = 0
         self._closed = False
+        self._pool: ProcessPoolExecutor | None = None
         self.bytes_written = 0  # final container size, set on close()
         head = write_header(self.header)
         self._fh.write(head)
@@ -233,9 +238,14 @@ class TiledWriter:
              [self._next_tile + i for i in part])
             for part in parts
         ]
+        if len(jobs) > 1 and self.workers > 1 and self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         results = [None] * len(tiles)
         for part, done in zip(
-            parts, pool_map(_tiles_job, jobs, n_workers=self.workers)
+            parts,
+            pool_map(
+                _tiles_job, jobs, n_workers=self.workers, executor=self._pool
+            ),
         ):
             for i, result in zip(part, done):
                 results[i] = result
@@ -298,9 +308,14 @@ class TiledWriter:
             self.write_slab(slab)
 
     def close(self) -> bytes | None:
-        """Write the footer index and tail; finalize the container."""
+        """Write the footer index and tail; finalize the container.
+
+        Shuts down the writer's process pool first, even when the
+        container is found incomplete.
+        """
         if self._closed:
             return None
+        self._shutdown_pool()
         if self._next_tile != self.n_tiles:
             raise ValueError(
                 f"container incomplete: {self._next_tile} of "
@@ -324,8 +339,15 @@ class TiledWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
-        elif self._owns_fh:
+            return
+        self._shutdown_pool()
+        if self._owns_fh:
             self._fh.close()
+
+    def _shutdown_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
 
 def default_tile_shape(

@@ -254,6 +254,15 @@ def _read_container(
         codec = None
         if not header.is_arithmetic:
             codec = HuffmanCodec.read_table(r)
+            # The codes are m-bit: a table over any other alphabet could
+            # decode codes the quantizer never emits (or miss ones it
+            # does), so it is corrupt however well-formed it is.
+            if codec.alphabet_size != 1 << interval_bits:
+                raise ValueError(
+                    f"corrupt container: Huffman table has "
+                    f"{codec.alphabet_size} symbols, {interval_bits} "
+                    f"interval bits need {1 << interval_bits}"
+                )
         pos = (r.bitpos + 7) // 8
         stream_len = int.from_bytes(blob[pos : pos + 6], "big")
         pos += 6

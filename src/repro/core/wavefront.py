@@ -73,6 +73,11 @@ _TABLE_BYTES_MAX = 128 * 1024 * 1024
 class WavefrontResult:
     """Everything the container needs, plus compression diagnostics.
 
+    ``codes`` are the quantization codes in wavefront order as
+    ``uint16``: an ``m``-bit code is below ``2^m`` and ``m <= 16``
+    (:func:`repro.core.quantizer.interval_radius`), so every code fits,
+    at a quarter of an int64's bytes from the kernel to the container.
+
     ``decompressed`` — the exact array a decompressor will reconstruct —
     is scattered from wavefront to raster order on first use: the plain
     ``abs``/``rel`` encode path never reads it, while ``pw_rel`` /
@@ -462,18 +467,21 @@ def _materialize_codes(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Turn accumulated offsets + predictable mask into final codes.
 
-    Returns the ``(B, points)`` codes and each member's unpredictable
-    originals in wavefront order.
+    Returns the ``(B, points)`` uint16 codes and each member's
+    unpredictable originals in wavefront order.  A predictable offset
+    lies strictly inside ``(-radius, radius)``, so its code lies in
+    ``[1, 2 * radius)`` and ``radius <= 2^15`` (``m <= 16``) makes every
+    code fit.
     """
     B = len(qall)
     if not unpred_chunks:
-        codes = np.add(qall, fradius, out=qall).astype(np.int64)
+        codes = np.add(qall, fradius, out=qall).astype(np.uint16)
         return codes, [np.zeros(0, dtype=out_dtype) for _ in range(B)]
     miss_all = np.logical_not(ok_all)
     # Wild offsets (outside the code range) sit at miss positions;
     # zero them before the int cast to avoid undefined conversions.
     np.copyto(qall, 0.0, where=miss_all)
-    codes = np.add(qall, fradius, out=qall).astype(np.int64)
+    codes = np.add(qall, fradius, out=qall).astype(np.uint16)
     codes[miss_all] = UNPREDICTABLE
     # Each plane's chunk is member-major; a stable sort by member keeps
     # every member's values in wavefront order.
@@ -515,14 +523,15 @@ def _wavefront_decompress(
     out_dtype = np.dtype(out_dtype)
     idt = resolve_interior_dtype(out_dtype)
     miss_all = codes == UNPREDICTABLE
-    total_miss = int(miss_all.sum(dtype=np.int64))
-    _check_unpred_count(total_miss, unpred_recon)
+    # Where each plane's unpredictable values start in unpred_vals:
+    # misses before its first point.  Searching the miss positions
+    # costs memory per miss, not 8 bytes per point.
+    miss_at = np.flatnonzero(miss_all)
+    _check_unpred_count(miss_at.size, unpred_recon)
     unpred_vals = unpred_recon.astype(idt, copy=False)
-    # Where each plane's unpredictable values start in unpred_vals.
-    per_plane = np.add.reduceat(
-        miss_all, [start for start, _ in plan.groups], dtype=np.int64
-    )
-    upos = [0] + np.cumsum(per_plane, dtype=np.int64).tolist()
+    upos = np.searchsorted(
+        miss_at, [start for start, _ in plan.groups] + [codes.size]
+    ).tolist()
     out = np.empty(plan.shape, dtype=out_dtype)
     dst = plan.sheared(out.reshape(-1), writeable=True)
     two_eb = 2.0 * eb
@@ -602,7 +611,7 @@ def _compress_1d(
     x64 = data.astype(np.float64)
     N = x64.size
     dec = np.zeros(N + n, dtype=np.float64)  # n-element zero prologue
-    codes = np.zeros(N, dtype=np.int64)
+    codes = np.zeros(N, dtype=np.uint16)
     unpred_idx: list[int] = []
     two_eb = 2.0 * eb
     xs = x64.tolist()

@@ -342,8 +342,10 @@ def pack_varlen(
     -----
     Three byte-identical strategies, picked by the length profile: a
     ``np.packbits`` bit matrix for uniform widths, an 8-byte-window
-    OR-scatter for mixed widths up to 57 bits (O(1) vectorized passes),
-    and the original one-pass-per-bit-position formulation
+    OR-scatter for mixed widths up to 57 bits (O(1) vectorized passes;
+    :func:`_pack_via_windows` into a fresh word buffer from bit 0 — the
+    same packer the Huffman encoder feeds chunk by chunk), and the
+    original one-pass-per-bit-position formulation
     (:func:`_pack_varlen_bitplane`, the reference) for the rare mixed
     streams containing 58–64-bit fields.
     """
@@ -366,14 +368,43 @@ def pack_varlen(
         bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
         return np.packbits(bits.ravel()), total
     if max_len <= _MAX_FIELD_BITS:
-        return _pack_via_windows(values.ravel(), lengths.ravel(), total, masked)
+        out64 = np.zeros(_packed_words(total), dtype=np.uint64)
+        _pack_via_windows(values.ravel(), lengths.ravel(), out64, 0, masked)
+        return _words_to_bytes(out64, total), total
     return _pack_varlen_bitplane(values, lengths, total, max_len)
 
 
+def _packed_words(total_bits: int) -> int:
+    """Length of the uint64 word buffer :func:`_pack_via_windows` fills.
+
+    The last field's 8-byte window may spill into the word after the one
+    holding the stream's last byte, hence the slack word.
+    """
+    return (((total_bits + 7) // 8) >> 3) + 2
+
+
+def _words_to_bytes(out64: np.ndarray, total_bits: int) -> np.ndarray:
+    """The bytes of a ``total_bits``-bit stream packed into ``out64``."""
+    return out64.astype(">u8").view(np.uint8)[: (total_bits + 7) // 8]
+
+
 def _pack_via_windows(
-    values: np.ndarray, lengths: np.ndarray, total: int, masked: bool = False
-) -> tuple[np.ndarray, int]:
-    """Mixed-width fast path: one 8-byte OR-window per (merged) field.
+    values: np.ndarray,
+    lengths: np.ndarray,
+    out64: np.ndarray,
+    start: int,
+    masked: bool = False,
+) -> int:
+    """Mixed-width fast path: OR fields into a word buffer from bit ``start``.
+
+    ``out64`` holds the stream as native uint64 words, each standing for
+    8 big-endian stream bytes (:func:`_words_to_bytes` turns it into
+    bytes); it must have at least :func:`_packed_words` of the end bit
+    entries, and every bit at or past ``start`` must still be zero.
+    Fields are ORed in, so successive calls that carry the returned end
+    bit pack one contiguous stream, whatever bit each call starts on.
+    :func:`pack_varlen` calls this once with a fresh buffer at bit 0;
+    the Huffman encoder calls it once per chunk of symbols.
 
     Two stages, both byte-identical to the bit-plane reference:
 
@@ -387,19 +418,21 @@ def _pack_via_windows(
        field in its window, split the window into its two aligned-word
        contributions, OR together contributions landing in the same
        word (``np.bitwise_or.reduceat`` — window starts are sorted), and
-       scatter the per-word results conflict-free.
+       OR the per-word results into the buffer (each word once per
+       scatter, so the fancy-indexed ``|=`` sees no duplicates).
+
+    Returns the end bit, ``start`` plus the bits written.
     """
     # Fold rounds and bit placement run entirely in uint64 (lengths
     # included) — mixing int64 shift operands would force a cast pass per
     # round.
     lens = lengths.astype(np.uint64)
-    if masked:
-        vals = values
-    else:
+    vals = values.astype(np.uint64, copy=False)
+    if not masked:
         # Mask to the declared widths first: high garbage bits must not
         # leak into a neighbouring field once pairs are folded together.
         mask = (np.uint64(1) << lens) - np.uint64(1)  # l <= 57: no UB
-        vals = values & mask
+        vals = vals & mask
     for _ in range(4):  # n/16 fields is plenty; stop early when folding stalls
         if lens.size < 2:
             break
@@ -407,8 +440,11 @@ def _pack_via_windows(
         if folded is None:
             break
         vals, lens = folded
-    starts = np.zeros(vals.size, dtype=np.uint64)
+    starts = np.empty(vals.size, dtype=np.uint64)
+    starts[0] = start
     np.cumsum(lens[:-1], out=starts[1:])
+    starts[1:] += np.uint64(start)
+    end = int(starts[-1]) + int(lens[-1])
     skew = starts & np.uint64(7)
     # Shift amount 64 - l - skew is <= 63 whenever l > 0; l == 0 fields
     # are already zero so their (undefined) shift result never lands.
@@ -432,11 +468,9 @@ def _pack_via_windows(
         np.concatenate(([True], word[1:] != word[:-1]))
     )
     words_u = word[group_start]
-    nbytes = (total + 7) // 8
-    out64 = np.zeros((nbytes >> 3) + 2, dtype=np.uint64)
-    out64[words_u] = np.bitwise_or.reduceat(hi, group_start)
+    out64[words_u] |= np.bitwise_or.reduceat(hi, group_start)
     out64[words_u + 1] |= np.bitwise_or.reduceat(lo, group_start)
-    return out64.astype(">u8").view(np.uint8)[:nbytes], total
+    return end
 
 
 def _fold_pairs(

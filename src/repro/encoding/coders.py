@@ -116,7 +116,14 @@ class EntropyCoder(Protocol):
     def decode(
         self, payload: EntropyPayload, *, expected: int, interval_bits: int
     ) -> np.ndarray:
-        """Recover exactly ``expected`` codes from a payload."""
+        """Recover exactly ``expected`` codes from a payload.
+
+        The codes come back as ``uint16``: every code is below
+        ``2^interval_bits <= 2^16``.  A payload holding a code outside
+        that range is corrupt and raises ``ValueError`` — the container
+        reader rejects a Huffman table over any other alphabet, and the
+        arithmetic coder checks the codes it decodes.
+        """
         ...
 
 
@@ -181,6 +188,8 @@ class ArithmeticEntropyCoder:
         from repro.encoding.arithmetic import encode_symbols, zigzag
 
         radius = interval_radius(interval_bits)
+        # int64: ``codes - radius`` would wrap in the codes' uint16.
+        codes = codes.astype(np.int64)
         mapped = np.where(
             codes == 0,
             0,
@@ -201,11 +210,20 @@ class ArithmeticEntropyCoder:
             payload.raw, expected, max_bits=interval_bits + 2
         )
         radius = interval_radius(interval_bits)
-        return np.where(
+        codes = np.where(
             mapped == 0,
             0,
             unzigzag((mapped - 1).astype(np.uint64)) + radius,
         )
+        # A corrupt payload can decode to any code the mapping reaches;
+        # reject it here, before the uint16 narrowing could wrap it.
+        if codes.size and (codes.min() < 0 or codes.max() >= 2 * radius):
+            bad = codes[(codes < 0) | (codes >= 2 * radius)][0]
+            raise ValueError(
+                f"corrupt arithmetic payload: code {bad} outside "
+                f"[0, {2 * radius}) for {interval_bits} interval bits"
+            )
+        return codes.astype(np.uint16)
 
 
 _REGISTRY: dict[str, EntropyCoder] = {}

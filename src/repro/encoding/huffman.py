@@ -31,9 +31,11 @@ import numpy as np
 from repro.encoding.bitio import (
     BitReader,
     BitWriter,
+    _pack_via_windows,
+    _packed_words,
+    _words_to_bytes,
     byte_windows64,
     gather_windows64,
-    pack_varlen,
 )
 from repro.obs.tracer import active_collector, span
 
@@ -74,6 +76,11 @@ _SAFE_WINDOW_BITS = 57
 shifted left by the cursor's bit skew (up to 7), zero-filling the low
 bits, so only ``64 - 7`` leading bits are guaranteed real.  Chained
 lookups must stay inside this budget."""
+
+_PACK_CHUNK = 1 << 20
+"""Symbols the encoder gathers and packs per step.  The packer's uint64
+temporaries (fold rounds, window positions) scale with this, not with
+the stream, so a whole-array encode holds no 8-byte-per-symbol array."""
 
 _STAGE_ELEMS = 1 << 20
 """Target element count (≈4 MB of int32) for the staged-emission
@@ -511,6 +518,14 @@ class HuffmanCodec:
     def alphabet_size(self) -> int:
         return self.lengths.size
 
+    @property
+    def symbol_dtype(self) -> np.dtype:
+        """The narrowest of uint16/uint32 holding every symbol: what
+        :meth:`decode` returns."""
+        if self.alphabet_size <= 1 << 16:
+            return np.dtype(np.uint16)
+        return np.dtype(np.uint32)
+
     # -- table (de)serialization ----------------------------------------
 
     def write_table(self, w: BitWriter) -> None:
@@ -698,12 +713,27 @@ class HuffmanCodec:
     ) -> EncodedStream:
         """Encode a symbol array into a blocked canonical-Huffman stream.
 
+        Integer symbols are taken in their own dtype (the compressor's
+        uint16 quantization codes index the tables as they are); any
+        other input is cast to int64.  Lengths and codewords come from
+        narrow copies of the tables — uint8 lengths, uint32 codewords
+        (codes are at most :attr:`MAX_DECODE_LEN` = 32 bits) — and the
+        stream is packed :data:`_PACK_CHUNK` symbols at a time into one
+        word buffer sized from the lengths, carrying the bit offset from
+        chunk to chunk.  No temporary spans the whole stream at more than
+        one byte per symbol.  A block may straddle two chunks; its bit
+        count is the sum of its per-chunk partial sums.
+
         ``validate=False`` skips the range/zero-frequency scans for
         callers that construct the codec from the very histogram of
         ``symbols`` (every appearing symbol then has a codeword by
         construction).
         """
-        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        symbols = np.asarray(symbols)
+        if symbols.dtype.kind not in "iu":
+            symbols = symbols.astype(np.int64)
+        symbols = symbols.ravel()
+        n = symbols.size
         collector = active_collector()
         if collector is not None and self.lengths.size:
             present = self.lengths[self.lengths > 0]
@@ -715,30 +745,48 @@ class HuffmanCodec:
                 collector.observe("huffman/table_depth", float(self.max_len))
                 collector.observe("huffman/table_symbols", float(present.size))
         with span("huffman_encode", bytes=symbols.nbytes):
-            if validate and symbols.size and (
+            if validate and n and (
                 symbols.min() < 0 or symbols.max() >= self.alphabet_size
             ):
                 raise ValueError("symbol out of alphabet range")
-            lens = self.lengths[symbols]
-            if validate and symbols.size and lens.min() == 0:
+            # Lengths pass: each chunk's code lengths, added into the bit
+            # counts of the blocks touching it (the first may have begun
+            # in an earlier chunk); their total sizes the word buffer.
+            # np.take indexes by an intp copy of the chunk's symbols:
+            # twice as fast as fancy indexing by uint16, and bounded by
+            # the chunk.
+            len_table = self.lengths.astype(np.uint8)
+            lens = np.empty(n, dtype=np.uint8)
+            block_bits = np.zeros(-(-n // block_size), dtype=np.uint64)
+            for lo in range(0, n, _PACK_CHUNK):
+                hi = min(lo + _PACK_CHUNK, n)
+                np.take(len_table, symbols[lo:hi], out=lens[lo:hi])
+                first = lo // block_size
+                cuts = np.arange(first * block_size, hi, block_size) - lo
+                np.maximum(cuts, 0, out=cuts)
+                block_bits[first : first + cuts.size] += np.add.reduceat(
+                    lens[lo:hi], cuts, dtype=np.uint64
+                )
+            if validate and n and lens.min() == 0:
                 raise ValueError(
                     "symbol with no codeword (zero frequency) seen"
                 )
-            vals = self.codes[symbols]
-            # One vectorized pack over the whole stream; blocks are
-            # bit-offset ranges within it (cursors may start mid-byte —
-            # the windowed decoder copes).  Canonical codes fit their
-            # lengths exactly, so the pack can skip its masking pass.
-            payload, _ = pack_varlen(vals, lens, masked=True)
-            nblocks = 0 if symbols.size == 0 else -(-symbols.size // block_size)
-            if nblocks:
-                block_bits = np.add.reduceat(
-                    lens, np.arange(0, symbols.size, block_size),
-                    dtype=np.int64,
-                ).astype(np.uint64)
-            else:
-                block_bits = np.zeros(0, dtype=np.uint64)
-            return EncodedStream(symbols.size, block_size, block_bits, payload)
+            total = int(block_bits.sum(dtype=np.uint64))
+            out64 = np.zeros(_packed_words(total), dtype=np.uint64)
+            codewords = self.codes.astype(np.uint32)
+            bit = 0
+            for lo in range(0, n, _PACK_CHUNK):
+                # One pack per chunk, continuing the stream at ``bit``;
+                # blocks are bit-offset ranges within it (cursors may
+                # start mid-byte — the windowed decoder copes).
+                # Canonical codes fit their lengths exactly, so the pack
+                # can skip its masking pass.
+                bit = _pack_via_windows(
+                    np.take(codewords, symbols[lo : lo + _PACK_CHUNK]),
+                    lens[lo : lo + _PACK_CHUNK], out64, bit, masked=True,
+                )
+            payload = _words_to_bytes(out64, total)
+            return EncodedStream(n, block_size, block_bits, payload)
 
     # -- decoding --------------------------------------------------------
 
@@ -750,7 +798,13 @@ class HuffmanCodec:
         return self._decode_tables
 
     def decode(self, stream: EncodedStream) -> np.ndarray:
-        """Block-parallel vectorized decode of an :class:`EncodedStream`."""
+        """Block-parallel vectorized decode of an :class:`EncodedStream`.
+
+        Returns :attr:`symbol_dtype` symbols: ``uint16`` when the
+        alphabet fits ``2^16`` (every SZ container's does), ``uint32``
+        above that (:attr:`MAX_ALPHABET` is ``2^24``).  Both decode tiers
+        write straight into that array.
+        """
         with span("huffman_decode", bytes=int(stream.payload.nbytes)):
             return self._decode_impl(stream)
 
@@ -790,7 +844,7 @@ class HuffmanCodec:
         # emission (*careful* rounds), finishing blocks are compacted
         # out, and fast rounds resume for the survivors.
         n = stream.n_symbols
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(n, dtype=self.symbol_dtype)
         if n == 0:
             return out, 0, 0
         nblocks = stream.block_bits.size
@@ -884,7 +938,7 @@ class HuffmanCodec:
                 dest = np.repeat(base - (offs - cnts), cnts) + np.arange(
                     vals.size, dtype=np.int64
                 )
-                out[dest] = vals
+                out[dest] = vals.astype(out.dtype)  # cast, then scatter
             rem -= cnts
             opos += cnts
             lb = int(rem.min())
@@ -955,7 +1009,9 @@ class HuffmanCodec:
                         "corrupt Huffman stream: invalid codeword"
                     )
                 emit = cols < take[:, None]
-                out[(opos[:, None] + cols)[emit]] = g[:, 1:][emit]
+                out[(opos[:, None] + cols)[emit]] = g[:, 1:][emit].astype(
+                    out.dtype
+                )
                 cur += cumbits_t[idx, take - 1].astype(np.int64)
                 rem -= take
                 opos += take
@@ -992,7 +1048,7 @@ class HuffmanCodec:
         # up to ``_FLAT_TABLE_BITS``) the secondary is empty and the
         # ``long_mask`` branch below never fires.
         n = stream.n_symbols
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(n, dtype=self.symbol_dtype)
         if n == 0:
             return out, 0, 0
         primary_bits = tables.primary_bits
@@ -1045,7 +1101,9 @@ class HuffmanCodec:
                 entry[long_mask] = secondary[sub_base[sub_idx] + rem]
             if not entry.all():
                 raise ValueError("corrupt Huffman stream: invalid codeword")
-            out[out_starts[:na] + r] = entry >> 6
+            # Cast before the scatter: a fancy-indexed store that also
+            # casts int64 to the output dtype runs at half speed.
+            out[out_starts[:na] + r] = (entry >> 6).astype(out.dtype)
             cur += entry & 63
         if not np.array_equal(cursors, end_bits):
             raise ValueError("corrupt Huffman stream: block length mismatch")
@@ -1058,7 +1116,7 @@ class HuffmanCodec:
             for s in np.flatnonzero(self.lengths)
         }
         n = stream.n_symbols
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(n, dtype=self.symbol_dtype)
         if n == 0:
             return out
         nblocks = stream.block_bits.size

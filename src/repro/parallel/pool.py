@@ -58,12 +58,19 @@ def _telemetry_job(args):
     return result, collector.to_payload()
 
 
-def pool_map(fn, items: list, n_workers: int | None = None) -> list:
+def pool_map(
+    fn,
+    items: list,
+    n_workers: int | None = None,
+    executor: ProcessPoolExecutor | None = None,
+) -> list:
     """``map(fn, items)`` over a process pool, order preserved.
 
     ``fn`` must be picklable (a module-level function).  With one worker
     (or one item) the map runs in-process — results are identical either
     way, so callers get deterministic output independent of worker count.
+    Otherwise the map runs on ``executor`` when given (the caller owns
+    it and shuts it down), else on a pool opened and shut down here.
 
     Telemetry crosses the pool: when the caller has an active
     :class:`~repro.obs.Collector`, each worker runs its item under a
@@ -75,12 +82,15 @@ def pool_map(fn, items: list, n_workers: int | None = None) -> list:
     n_workers = n_workers or os.cpu_count() or 1
     if n_workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    if executor is None:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            return pool_map(fn, items, n_workers, pool)
     collector = active_collector()
     if collector is None:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(fn, items))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        shipped = list(pool.map(_telemetry_job, [(fn, item) for item in items]))
+        return list(executor.map(fn, items))
+    shipped = list(
+        executor.map(_telemetry_job, [(fn, item) for item in items])
+    )
     results = []
     for i, (result, payload) in enumerate(shipped):
         collector.merge_payload(payload, attrs={"item": i})

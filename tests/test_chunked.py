@@ -285,6 +285,69 @@ class TestStreaming:
             writer.write_tiles([np.zeros((2, 4), dtype=np.float32)])
 
 
+class TestWriterPool:
+    """A ``workers > 1`` writer runs every slab on one process pool."""
+
+    @pytest.fixture()
+    def executors(self, monkeypatch):
+        import concurrent.futures
+
+        import repro.chunked.streams as streams
+        import repro.parallel.pool as pool
+
+        made = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.was_shut_down = False
+                made.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.was_shut_down = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(streams, "ProcessPoolExecutor", Counted, raising=False)
+        return made
+
+    @staticmethod
+    def _write(data, workers):
+        sink = io.BytesIO()
+        with TiledWriter(
+            sink, data.shape, (4, 8), dtype=data.dtype, workers=workers,
+            mode="abs", bound=1e-3,
+        ) as writer:
+            assert writer.n_slabs == 10
+            writer.write_array(data)
+        return sink.getvalue()
+
+    def test_one_executor_for_ten_slabs(self, executors):
+        import multiprocessing
+
+        data = _field((40, 16))
+        pooled = self._write(data, workers=2)
+        assert len(executors) == 1
+        assert pooled == self._write(data, workers=1)
+        assert all(ex.was_shut_down for ex in executors)
+        assert not multiprocessing.active_children()
+
+    def test_exception_inside_with_shuts_the_pool_down(self, executors):
+        import multiprocessing
+
+        data = _field((40, 16))
+        with pytest.raises(RuntimeError, match="source failed"):
+            with TiledWriter(
+                io.BytesIO(), data.shape, (4, 8), dtype=data.dtype,
+                workers=2, mode="abs", bound=1e-3,
+            ) as writer:
+                writer.write_slab(data[:4])
+                raise RuntimeError("source failed")
+        assert len(executors) == 1
+        assert executors[0].was_shut_down
+        assert not multiprocessing.active_children()
+
+
 class TestDispatchAndInfo:
     def test_is_tiled(self):
         data = _field((16, 16))

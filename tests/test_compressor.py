@@ -261,3 +261,37 @@ class TestLazyReconstruction:
         assert all(n == data.size for n in scattered)
         out = decompress(blob)
         assert out.shape == data.shape and out.dtype == data.dtype
+
+
+class TestMemoryCeiling:
+    """Codes travel as uint16 and the Huffman pack works in chunks, so
+    neither direction holds 8-byte-per-value arrays of codes and the
+    traced peak stays within 6x the input bytes.  Int64 codes and a
+    whole-array pack reach 14.1x to compress and 6.7x to decompress."""
+
+    def test_traced_peak_within_six_times_the_input(self):
+        import tracemalloc
+
+        z, y, x = np.ogrid[0:6:64j, 0:6:256j, 0:6:256j]
+        field = np.sin(x + 0.5 * y) * np.cos(z)
+        noise = np.random.default_rng(0).standard_normal(field.shape)
+        data = (field + 0.01 * noise).astype(np.float32)
+        del field, noise
+        blob = compress(data, mode="rel", bound=1e-4)  # warm the plan
+        decompress(blob)
+        peaks = {}
+        for direction, run in (
+            ("compress", lambda: compress(data, mode="rel", bound=1e-4)),
+            ("decompress", lambda: decompress(blob)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks[direction] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        nbytes = data.nbytes
+        for direction, peak in peaks.items():
+            assert peak <= 6 * nbytes, (
+                f"{direction} peak {peak / nbytes:.1f}x the input"
+            )

@@ -254,3 +254,64 @@ class TestWrappedContainer:
         for read in (decompress, container_info):
             with pytest.raises(ValueError, match="retired.*SZPP"):
                 read(blob)
+
+
+class TestCodesOutsideAlphabet:
+    """A code at or above ``2^m`` is corrupt, whichever coder stored it:
+    it would dequantize to a value far outside the recorded bound."""
+
+    def test_huffman_table_wider_than_interval_bits(self):
+        """An m = 8 container re-encoded over a 512-symbol table holding
+        code 300 decoded silently, most values beyond the bound."""
+        from repro.core.stream import read_container, write_container
+        from repro.encoding.huffman import HuffmanCodec
+
+        data = _field((64, 64))
+        blob = compress(data, mode="abs", bound=1e-3, interval_bits=8)
+        header, codec, stream, unpred, _, _ = read_container(blob)
+        assert codec is not None and stream is not None
+        codes = codec.decode(stream).astype(np.int64)
+        codes[len(codes) // 2] = 300
+        wide = HuffmanCodec.from_symbols(codes, 512)
+        forged = write_container(
+            header, wide, wide.encode(codes), bytes(unpred)
+        )
+        for read in (decompress, container_info):
+            with pytest.raises(ValueError, match="512 symbols.*need 256"):
+                read(forged)
+
+    def test_arithmetic_flips_never_return_out_of_range_codes(self):
+        """Seeded 1-3-bit flips of an arithmetic payload either raise
+        ``ValueError`` or decode to codes inside ``[0, 2^m)``."""
+        from repro.core.stream import read_container
+        from repro.encoding.coders import EntropyPayload, get_entropy_coder
+
+        data = _field((32, 32))
+        blob = compress(
+            data, mode="abs", bound=1e-3, interval_bits=8,
+            entropy_coder="arithmetic",
+        )
+        header, *_, arith = read_container(blob)
+        coder = get_entropy_coder("arithmetic")
+        flip_rng = np.random.default_rng(5)
+        rejected = 0
+        for trial in range(300):
+            corrupt = bytearray(arith)
+            nbits = int(flip_rng.integers(1, 4))
+            for bit in flip_rng.choice(8 * len(arith), nbits, replace=False):
+                corrupt[bit // 8] ^= 1 << (bit % 8)
+            payload = EntropyPayload(
+                coder.coder_id, header.flags, raw=bytes(corrupt)
+            )
+            try:
+                codes = coder.decode(
+                    payload, expected=data.size, interval_bits=8
+                )
+            except ValueError:
+                rejected += 1
+                continue
+            assert 0 <= int(codes.min()) <= int(codes.max()) < 256, (
+                f"flip trial {trial}"
+            )
+            assert codes.dtype == np.uint16
+        assert rejected > 0  # the sweep does reach out-of-range codes

@@ -310,6 +310,126 @@ class TestEncodedStreamIdentity:
         np.testing.assert_array_equal(slow, symbols)
 
 
+@st.composite
+def prefix_code_lengths(draw, max_len: int = 24):
+    """A complete prefix code with lengths in ``[1, max_len]``.
+
+    Starts from the deep, skewed chain quantization codes give (lengths
+    ``1, 2, ..., depth, depth``), splits drawn leaves further, and pads
+    the code with absent (length 0) symbols at drawn places.
+    """
+    depth = draw(st.integers(1, max_len))
+    lengths = [*range(1, depth + 1), depth]
+    for pick in draw(st.lists(st.integers(0, 2**16), max_size=30)):
+        eligible = [i for i, ln in enumerate(lengths) if ln < max_len]
+        if not eligible:
+            break
+        i = eligible[pick % len(eligible)]
+        lengths[i] += 1  # split leaf i into two one level deeper
+        lengths.append(lengths[i])
+    for pos in draw(st.lists(st.integers(0, 2**16), max_size=5)):
+        lengths.insert(pos % (len(lengths) + 1), 0)
+    return np.array(lengths, dtype=np.int64)
+
+
+def _reference_stream(
+    codec: HuffmanCodec, symbols: np.ndarray, block_size: int
+) -> EncodedStream:
+    """The stream the bit-plane reference packs from the same fields."""
+    lens = codec.lengths[symbols]
+    payload, _ = _pack_varlen_bitplane(
+        codec.codes[symbols], lens, int(lens.sum()), int(lens.max())
+    )
+    block_bits = np.add.reduceat(
+        lens, np.arange(0, symbols.size, block_size)
+    ).astype(np.uint64)
+    return EncodedStream(symbols.size, block_size, block_bits, payload)
+
+
+_PACK_CHUNKS = [1, 7, 4095, 4097, 2**20]
+
+
+class TestChunkedPackIdentity:
+    """The encoder packs ``_PACK_CHUNK`` symbols at a time; where the
+    chunk edges fall (mid-byte, mid-word, mid-block) leaves no trace."""
+
+    @given(
+        prefix_code_lengths(),
+        st.integers(1, 9000),
+        st.sampled_from(_PACK_CHUNKS),
+        # Block sizes that divide some chunk sizes and not others, and
+        # blocks that span several chunks.
+        st.sampled_from([1, 2, 3, 7, 8, 64, 4095, 4096, 4097, 10000]),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=40)
+    def test_stream_matches_bitplane_reference(
+        self, lengths, n, chunk, block, seed
+    ):
+        codec = HuffmanCodec(lengths)
+        present = np.flatnonzero(lengths)
+        symbols = np.random.default_rng(seed).choice(present, n).astype(
+            np.uint16
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hf, "_PACK_CHUNK", chunk)
+            stream = codec.encode(symbols, block_size=block)
+        ref = _reference_stream(codec, symbols.astype(np.int64), block)
+        assert stream.to_bytes() == ref.to_bytes()
+        decoded = codec.decode(stream)
+        assert decoded.dtype == np.uint16
+        np.testing.assert_array_equal(decoded, codec.decode_scalar(stream))
+        np.testing.assert_array_equal(decoded, symbols)
+
+    @pytest.mark.parametrize("chunk", _PACK_CHUNKS[:-1])
+    @pytest.mark.parametrize("block", [7, 9, 4096])
+    def test_chunk_edges_mid_byte_and_mid_word(self, chunk, block):
+        # Lengths 1 and 5 (Kraft: 1/2 + 16/32); the pattern's 33 bits
+        # per 9 symbols put the first 8 chunk edges both off a byte
+        # boundary and on a byte boundary inside a 64-bit word.
+        codec = HuffmanCodec(np.array([1] + [5] * 16, dtype=np.int64))
+        symbols = np.resize(
+            np.array([3, 0, 9, 0, 1, 5, 0, 2, 4]), 8 * chunk + 64
+        )
+        edges = np.cumsum(codec.lengths[symbols])[chunk - 1 :: chunk]
+        assert (edges % 8 != 0).any()
+        assert ((edges % 8 == 0) & (edges % 64 != 0)).any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hf, "_PACK_CHUNK", chunk)
+            stream = codec.encode(symbols, block_size=block)
+        assert stream.to_bytes() == _reference_stream(
+            codec, symbols, block
+        ).to_bytes()
+        np.testing.assert_array_equal(codec.decode(stream), symbols)
+
+
+class TestCodeDtypes:
+    """Quantization codes travel as uint16; decoded symbols as the
+    narrowest of uint16/uint32 that holds the alphabet."""
+
+    @pytest.mark.parametrize("shape", [(300,), (20, 30), (6, 7, 8)])
+    def test_wavefront_codes_are_uint16(self, shape):
+        from repro.core.wavefront import WavefrontPlan, wavefront_compress
+
+        data = np.sin(np.arange(np.prod(shape)) / 5.0).reshape(shape)
+        result = wavefront_compress(data, 1e-3, WavefrontPlan(shape, 1), 2**15)
+        assert result.codes.dtype == np.uint16
+        assert int(result.codes.max()) > 2**15  # codes use the top half
+
+    @pytest.mark.parametrize(
+        "alphabet, dtype", [(2**16, np.uint16), (2**16 + 1, np.uint32)]
+    )
+    def test_decode_dtype_follows_alphabet(self, alphabet, dtype):
+        lengths = np.zeros(alphabet, dtype=np.int64)
+        lengths[[0, alphabet - 1]] = 1
+        codec = HuffmanCodec(lengths)
+        symbols = np.array([alphabet - 1, 0, alphabet - 1], dtype=np.int64)
+        stream = codec.encode(symbols)
+        for decoded in (codec.decode(stream), codec.decode_scalar(stream)):
+            assert decoded.dtype == dtype
+            np.testing.assert_array_equal(decoded, symbols)
+
+
 # Decode-table variants, forced via the module thresholds.  The cache
 # keys on the threshold values, so patched runs can never serve (or
 # poison) a table built under different thresholds.
