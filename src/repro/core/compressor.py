@@ -67,6 +67,7 @@ from repro.encoding.coders import (
     coder_for_flags,
     get_entropy_coder,
 )
+from repro.encoding.huffman import symbol_histogram
 from repro.obs.tracer import Collector, active_collector, span
 
 if TYPE_CHECKING:
@@ -180,7 +181,7 @@ def _emit_container(
     encodes the float64 log field while the header advertises the
     original dtype (the mode tag tells the decoder the inner domain).
     ``code_hist``, when provided, is the precomputed code histogram
-    (``np.bincount`` over the full alphabet) — callers that also need it
+    (``symbol_histogram`` over the full alphabet) — callers that also need it
     for diagnostics pass it in so the pass over the codes runs once.
     """
     with span("unpredictable", bytes=result.unpredictable.nbytes):
@@ -463,7 +464,7 @@ def _finish(mb: _Member, config: "SZConfig") -> tuple[bytes, CompressionStats]:
     result = mb.result
     assert result is not None
     m, eb = mb.m, mb.eb
-    code_hist = np.bincount(result.codes, minlength=2 * interval_radius(m))
+    code_hist = symbol_histogram(result.codes, 2 * interval_radius(m))
     mode_attempts = mb.mode_attempts
     side = b""
     if spec.mode == "pw_rel":

@@ -276,6 +276,11 @@ def _read_container(
             arith = blob[pos : pos + stream_len]
         else:
             stream = EncodedStream.from_bytes(blob[pos : pos + stream_len])
+            if stream.n_symbols != n_values:
+                raise ValueError(
+                    f"corrupt container: symbol stream holds "
+                    f"{stream.n_symbols} codes for {n_values} points"
+                )
         pos += stream_len
         unpred_len = int.from_bytes(blob[pos : pos + 6], "big")
         pos += 6

@@ -290,8 +290,9 @@ def byte_windows64(buf: bytes | np.ndarray) -> np.ndarray:
     if buf.dtype != np.uint8:
         buf = buf.astype(np.uint8)
     padded = np.concatenate([buf.ravel(), np.zeros(8, dtype=np.uint8)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 8)[: buf.size + 1]
-    return windows.copy().view(">u8").ravel().astype(np.uint64)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 8)[: buf.size + 1, ::-1]
+    # Reversed bytes read as little-endian words: one 8x copy on LE hosts.
+    return windows.copy().view("<u8").ravel().astype(np.uint64, copy=False)
 
 
 def gather_windows64(padded: np.ndarray, starts: np.ndarray) -> np.ndarray:

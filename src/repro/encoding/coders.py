@@ -48,7 +48,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.encoding.huffman import EncodedStream, HuffmanCodec
+from repro.encoding.huffman import EncodedStream, HuffmanCodec, symbol_histogram
 
 __all__ = [
     "DEFAULT_ENTROPY_CODER",
@@ -143,7 +143,7 @@ class HuffmanEntropyCoder:
     ) -> EntropyPayload:
         alphabet = 1 << interval_bits
         if code_hist is None:
-            code_hist = np.bincount(codes, minlength=alphabet)
+            code_hist = symbol_histogram(codes, alphabet)
         codec = HuffmanCodec.from_frequencies(code_hist)
         # The codec was built from these very codes, so the range /
         # zero-frequency validation scans are redundant here.

@@ -15,8 +15,9 @@ alphabet size.  This module does the same for the reproduction:
   all chunks in lockstep — one table lookup round decodes one symbol per
   chunk.  A scalar reference decoder is kept for verification.
 
-The two-level decode table (primary prefix table + per-prefix subtables)
-keeps memory bounded even for 17+-bit codes on 65537-symbol alphabets.
+Codes of up to 16 bits decode through a fused multi-symbol table 16 bits
+wide; longer ones through a two-level table (13-bit primary prefix table
++ per-prefix subtables), which keeps memory bounded up to 32-bit codes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ from repro.encoding.bitio import (
 )
 from repro.obs.tracer import active_collector, span
 
-__all__ = ["HuffmanCodec", "EncodedStream", "huffman_code_lengths"]
+__all__ = [
+    "HuffmanCodec",
+    "EncodedStream",
+    "huffman_code_lengths",
+    "symbol_histogram",
+]
 
 _PRIMARY_BITS = 13
 _DEFAULT_BLOCK = 4096
@@ -48,28 +54,17 @@ _WINDOW_MATERIALIZE_LIMIT = 64 << 20
 window array (8x payload RAM, ~3x faster rounds); larger ones gather
 windows per round to keep peak memory bounded."""
 
-_MULTI_TABLE_BITS = 20
-"""Codes up to this long decode through a multi-symbol table: each
-window lookup emits every whole codeword inside the table's
-``width``-bit window (up to ``_MULTI_MAX_SYMS``), and chained lookups
-reuse one gathered 64-bit window, collapsing the per-symbol round loop
-by the symbols-per-round factor.  The bound caps table memory at
-``2^20`` entries."""
-
-_MULTI_BASE_BITS = 16
-"""Minimum multi-table window width.  Short-code tables still index a
-16-bit window so one lookup can pack several codewords."""
+_FUSED_BITS = 16
+"""Window width of the fused multi-symbol table, which decodes every
+code of up to this many bits: each window lookup emits every whole
+codeword inside the 16-bit window (up to ``_MULTI_MAX_SYMS``), and
+chained lookups reuse one gathered 64-bit window, collapsing the
+per-symbol round loop by the symbols-per-round factor.  Longer codes
+decode through the two-level table."""
 
 _MULTI_MAX_SYMS = 8
-"""Cap on packed symbols per multi-table entry — bounds the table at
-``2^width * (4 * k + k + 2)`` bytes (~42 MB worst case at k = 8,
-width = 20)."""
-
-_FLAT_TABLE_BITS = 22
-"""Codes up to this long (but too long for the multi table) decode
-through a single flat ``max_len``-wide table, eliminating the two-level
-secondary gather branch.  Beyond it the 13-bit primary + subtable
-layout keeps memory bounded."""
+"""Cap on packed symbols per fused-table entry — bounds the table at
+``2^16 * (4 * (1 + k) + k)`` bytes (2.9 MB at k = 8)."""
 
 _SAFE_WINDOW_BITS = 57
 """Usable bits of a gathered 8-byte window: the byte-aligned gather is
@@ -135,6 +130,19 @@ def huffman_code_lengths(
     return lengths
 
 
+def symbol_histogram(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """``np.bincount(symbols, minlength=alphabet_size)`` taken
+    :data:`_PACK_CHUNK` symbols at a time: bincount copies its input to
+    intp first, four times the size of the compressor's uint16 codes."""
+    symbols = np.asarray(symbols).ravel()
+    counts: np.ndarray = np.zeros(alphabet_size, dtype=np.intp)
+    for lo in range(0, symbols.size, _PACK_CHUNK):
+        part = np.bincount(symbols[lo : lo + _PACK_CHUNK], minlength=counts.size)
+        part[: counts.size] += counts
+        counts = part
+    return counts
+
+
 def _tree_depths(freqs: np.ndarray) -> np.ndarray:
     """Depth of each leaf in a Huffman tree over ``freqs`` (all > 0)."""
     n = freqs.size
@@ -190,39 +198,36 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _MultiTables:
-    """Fused multi-symbol decode table (``max_len <= _MULTI_TABLE_BITS``).
+    """Fused multi-symbol decode table (``max_len <= _FUSED_BITS``).
 
-    For every ``width``-bit window value one row of ``fused`` packs the
+    For every 16-bit window value one row of ``fused`` packs the
     whole decode step: column 0 holds ``(total_bits << 8) | count``
     (count = whole codewords in the window, total_bits = their summed
     lengths, both 0 for invalid windows) and columns ``1..k`` the
     decoded symbols.  Packing metadata and symbols into one
     row-contiguous array means each lookup touches a single cache line
     instead of gathering three separate tables — the dominant cost of a
-    decode round.  ``chain`` successive lookups share one gathered
+    decode round.  ``57 // 16`` successive lookups share one gathered
     64-bit window (each offset by the previous total) without touching
     the payload again.  ``cumbits`` (cumulative bits after each packed
     codeword) serves the clamped single-lookup rounds near block ends.
     """
 
-    width: int
     k: int
-    chain: int
-    fused: np.ndarray  # int32 (2^width, 1 + k), [(totbits << 8) | count, syms...]
-    cumbits: np.ndarray  # uint8 (2^width, k) cumulative bits consumed
+    fused: np.ndarray  # int32 (2^16, 1 + k), [(totbits << 8) | count, syms...]
+    cumbits: np.ndarray  # uint8 (2^16, k) cumulative bits consumed
 
 
 @dataclass(frozen=True)
 class _TwoLevelTables:
-    """Primary prefix table + optional per-prefix subtables.
+    """Primary prefix table + per-prefix subtables (codes of 17-32 bits).
 
-    With ``primary_bits == max_len`` the secondary is empty and every
-    lookup resolves in the primary (the fused flat layout); otherwise
-    negative primary entries index into ``secondary`` chunks.
+    A primary entry resolves a codeword of at most ``_PRIMARY_BITS`` bits
+    or, when negative, names the ``secondary`` chunk that the next
+    ``sub_depth`` bits index.
     """
 
-    primary_bits: int
-    primary: np.ndarray  # int64 (2^primary_bits,), (sym << 6) | len
+    primary: np.ndarray  # int64 (2^_PRIMARY_BITS,), (sym << 6) | len
     secondary: np.ndarray  # int64, concatenated subtable chunks
     sub_base: np.ndarray  # int64, chunk start offsets into secondary
     sub_depth: int
@@ -238,29 +243,28 @@ def _sorted_present(
 
     Canonical codes in this order are consecutive within each length
     class and left-aligned codewords tile the decode-table index space
-    contiguously from 0 — the property both flat builders rely on.
+    contiguously from 0 — the property both table builders rely on.
     """
     present = np.flatnonzero(lengths)
     order = present[np.lexsort((present, lengths[present]))]
     return order, lengths[order]
 
 
-def _build_multi_tables(lengths: np.ndarray, max_len: int) -> _MultiTables:
-    width = max(max_len, _MULTI_BASE_BITS)
-    size = 1 << width
+def _build_multi_tables(lengths: np.ndarray) -> _MultiTables:
+    size = 1 << _FUSED_BITS
     sym1 = np.zeros(size, dtype=np.int32)
     len1 = np.zeros(size, dtype=np.uint8)
     order, lens_sorted = _sorted_present(lengths)
     if order.size:
         # Canonical tiling: symbol i (in canonical order) owns the
-        # contiguous 2^(width - len) slots starting at code << (width -
-        # len); any Kraft deficit leaves an invalid (length 0) tail.
-        reps = (1 << (width - lens_sorted)).astype(np.int64)
+        # contiguous 2^(16 - len) slots starting at code << (16 - len);
+        # any Kraft deficit leaves an invalid (length 0) tail.
+        reps = (1 << (_FUSED_BITS - lens_sorted)).astype(np.int64)
         total = int(reps.sum(dtype=np.int64))
         sym1[:total] = np.repeat(order.astype(np.int32), reps)
         len1[:total] = np.repeat(lens_sorted.astype(np.uint8), reps)
     min_len = int(lens_sorted[0]) if order.size else 1
-    k = max(1, min(_MULTI_MAX_SYMS, width // max(min_len, 1)))
+    k = max(1, min(_MULTI_MAX_SYMS, _FUSED_BITS // max(min_len, 1)))
     fused = np.zeros((size, 1 + k), dtype=np.int32)
     cumbits = np.zeros((size, k), dtype=np.uint8)
     fused[:, 1] = sym1
@@ -277,7 +281,7 @@ def _build_multi_tables(lengths: np.ndarray, max_len: int) -> _MultiTables:
         # the real bits decodes identically for every fill.
         nxt = (idx << cum) & mask
         ln = len1[nxt].astype(np.int64)
-        ok = valid & (ln > 0) & (cum + ln <= width)
+        ok = valid & (ln > 0) & (cum + ln <= _FUSED_BITS)
         fused[:, 1 + j] = np.where(ok, sym1[nxt], 0)
         cum = np.where(ok, cum + ln, cum)
         cumbits[:, j] = cum
@@ -293,52 +297,42 @@ def _build_multi_tables(lengths: np.ndarray, max_len: int) -> _MultiTables:
         np.int64
     ) * (counts > 0)
     fused[:, 0] = ((totbits << 8) | counts).astype(np.int32)
-    chain = max(1, _SAFE_WINDOW_BITS // width)
-    return _MultiTables(width, k, chain, fused, cumbits)
+    return _MultiTables(k, fused, cumbits)
 
 
-def _build_two_level_tables(
-    lengths: np.ndarray, codes: np.ndarray, max_len: int
-) -> _TwoLevelTables:
-    primary_bits = max_len if max_len <= _FLAT_TABLE_BITS else _PRIMARY_BITS
-    primary = np.zeros(1 << primary_bits, dtype=np.int64)
+def _build_two_level_tables(lengths: np.ndarray) -> _TwoLevelTables:
     order, lens_sorted = _sorted_present(lengths)
-    short = lens_sorted <= primary_bits
-    if short.any():
-        # Same canonical tiling as the multi table, entries packed as
-        # (sym << 6) | len; only over-length codes need the loop below.
-        reps = (1 << (primary_bits - lens_sorted[short])).astype(np.int64)
-        entries = np.repeat((order[short] << 6) | lens_sorted[short], reps)
-        primary[: entries.size] = entries
-    sub_prefixes: dict[int, int] = {}
-    sub_chunks: list[np.ndarray] = []
-    sub_depth = max(max_len - primary_bits, 0)
-    for sym in order[~short]:
-        length = int(lengths[sym])
-        code = int(codes[sym])
-        prefix = code >> (length - primary_bits)
-        if prefix not in sub_prefixes:
-            sub_prefixes[prefix] = len(sub_chunks)
-            sub_chunks.append(np.zeros(1 << sub_depth, dtype=np.int64))
-            primary[prefix] = -(sub_prefixes[prefix] + 1)
-        table = sub_chunks[sub_prefixes[prefix]]
-        rem_len = length - primary_bits
-        rem = code & ((1 << rem_len) - 1)
-        lo = rem << (sub_depth - rem_len)
-        hi = lo + (1 << (sub_depth - rem_len))
-        table[lo:hi] = (int(sym) << 6) | length
-    secondary = (
-        np.concatenate(sub_chunks)
-        if sub_chunks
-        else np.zeros(0, dtype=np.int64)
-    )
-    sub_base = np.arange(len(sub_chunks), dtype=np.int64) * (1 << sub_depth)
-    return _TwoLevelTables(primary_bits, primary, secondary, sub_base, sub_depth)
+    max_len = int(lens_sorted[-1]) if order.size else 1
+    sub_depth = max(max_len - _PRIMARY_BITS, 0)
+    # The canonical tiling again, entries (sym << 6) | len: short codes
+    # tile the primary from slot 0, and the long ones continue it at
+    # max_len bits, one ``secondary`` chunk per primary slot they reach.
+    entries = (order << 6) | lens_sorted
+    short = lens_sorted <= _PRIMARY_BITS
+    head = np.repeat(entries[short], 1 << (_PRIMARY_BITS - lens_sorted[short]))
+    tail_reps = 1 << (max_len - lens_sorted[~short])
+    tail_size = int(tail_reps.sum(dtype=np.int64))
+    n_sub = -(-tail_size >> sub_depth)
+    # Counted before allocating: a Kraft-valid but corrupt table can ask
+    # for thousands of deep subtables, while codes of at most 24 bits
+    # need at most 2^13 chunks of 2^11 entries: exactly this budget.
+    nbytes = 8 * (n_sub << sub_depth)
+    if nbytes > _TABLE_CACHE_BYTES:
+        raise ValueError(
+            f"corrupt Huffman table: {n_sub} decode subtables of "
+            f"2^{sub_depth} entries would take {nbytes} bytes, over the "
+            f"{_TABLE_CACHE_BYTES}-byte table budget"
+        )
+    primary = np.zeros(1 << _PRIMARY_BITS, dtype=np.int64)
+    primary[: head.size] = head
+    primary[head.size : head.size + n_sub] = -np.arange(1, n_sub + 1)
+    secondary = np.zeros(n_sub << sub_depth, dtype=np.int64)
+    secondary[:tail_size] = np.repeat(entries[~short], tail_reps)
+    sub_base = np.arange(n_sub, dtype=np.int64) << sub_depth
+    return _TwoLevelTables(primary, secondary, sub_base, sub_depth)
 
 
-_TABLE_CACHE: OrderedDict[
-    tuple[bytes, int, int, int, int, int], _DecodeTables
-] = OrderedDict()
+_TABLE_CACHE: OrderedDict[bytes, _DecodeTables] = OrderedDict()
 _TABLE_CACHE_LOCK = threading.Lock()
 _TABLE_CACHE_SLOTS = 64
 _TABLE_CACHE_BYTES = 128 << 20
@@ -346,14 +340,14 @@ _TABLE_CACHE_BYTES = 128 << 20
 per tile, and re-reading the same container (repeated region queries,
 a second full decode) re-parses the same length tables — the tables
 (the expensive part) are reusable.  Keyed by the canonical lengths
-array plus the variant thresholds (so a monkeypatched threshold can
-never serve a stale layout).  Evicts on slot count *and* total table
-bytes: a wide multi table (width 20, k = 8) alone is ~42 MB, so slots
-alone would not bound memory.  The slot count must comfortably exceed
-a typical container's distinct-table count: cyclic tile order over an
-LRU smaller than the working set evicts every entry just before its
-next use (0% hit rate at N tables > N slots), so small tile tables
-should be bounded by bytes, not slots."""
+array's bytes alone.  Evicts on slot count *and* total table bytes: a
+fused table is at most 2.9 MB, but two-level tables may take this
+whole budget (their builder refuses more), so slots alone would not
+bound memory.  The slot count must comfortably exceed a typical
+container's distinct-table count: cyclic tile order over an LRU
+smaller than the working set evicts every entry just before its next
+use (0% hit rate at N tables > N slots), so small tile tables should
+be bounded by bytes, not slots."""
 
 
 def _tables_nbytes(tables: _DecodeTables) -> int:
@@ -364,17 +358,8 @@ def _tables_nbytes(tables: _DecodeTables) -> int:
     return sum(int(a.nbytes) for a in arrays)
 
 
-def _decode_tables_for(
-    lengths: np.ndarray, codes: np.ndarray, max_len: int
-) -> _DecodeTables:
-    key = (
-        lengths.tobytes(),  # szlint: ignore[SZ104] — hashable cache key, one copy per table build
-        _PRIMARY_BITS,
-        _MULTI_TABLE_BITS,
-        _MULTI_BASE_BITS,
-        _MULTI_MAX_SYMS,
-        _FLAT_TABLE_BITS,
-    )
+def _decode_tables_for(lengths: np.ndarray, max_len: int) -> _DecodeTables:
+    key = lengths.tobytes()  # szlint: ignore[SZ104] — hashable cache key, one copy per table build
     with _TABLE_CACHE_LOCK:
         hit = _TABLE_CACHE.get(key)
         if hit is not None:
@@ -387,10 +372,10 @@ def _decode_tables_for(
     if collector is not None:
         collector.add("huffman/table_cache_misses")
     tables: _DecodeTables
-    if max_len <= _MULTI_TABLE_BITS:
-        tables = _build_multi_tables(lengths, max_len)
+    if max_len <= _FUSED_BITS:
+        tables = _build_multi_tables(lengths)
     else:
-        tables = _build_two_level_tables(lengths, codes, max_len)
+        tables = _build_two_level_tables(lengths)
     with _TABLE_CACHE_LOCK:
         _TABLE_CACHE[key] = tables
         total = sum(_tables_nbytes(t) for t in _TABLE_CACHE.values())
@@ -458,7 +443,16 @@ class EncodedStream:
         payload = np.frombuffer(
             buf, dtype=np.uint8, count=payload_len, offset=header_bytes
         )
-        return cls(n_symbols, block_size, block_bits, payload)
+        stream = cls(n_symbols, block_size, block_bits, payload)
+        # Every codeword is at least one bit long and inside the payload;
+        # a forged symbol count fails here, before a decoder allocates.
+        if not n_symbols <= stream.total_bits <= 8 * payload_len:
+            raise ValueError(
+                f"corrupt EncodedStream: block index holds "
+                f"{stream.total_bits} bits for {n_symbols} symbols in a "
+                f"{payload_len}-byte payload"
+            )
+        return stream
 
 
 class HuffmanCodec:
@@ -484,16 +478,15 @@ class HuffmanCodec:
             )
         if self.lengths.size and self.lengths.min() < 0:
             raise ValueError("negative code length (corrupt table?)")
+        # Exact Kraft sum in units of 2^-32 (a float sum rounds 1 + 2^-32
+        # to 1): an over-full code tiles past the decode tables' end.
         present = self.lengths[self.lengths > 0]
-        if present.size:
-            kraft = float(
-                np.sum(2.0 ** (-present.astype(np.float64)), dtype=np.float64)
+        units = int(np.sum(1 << (self.MAX_DECODE_LEN - present), dtype=np.int64))
+        if units > 1 << self.MAX_DECODE_LEN:
+            raise ValueError(
+                f"length table violates the Kraft inequality "
+                f"({units} / 2^{self.MAX_DECODE_LEN} > 1): not a prefix code"
             )
-            if kraft > 1.0 + 1e-9:
-                raise ValueError(
-                    f"length table violates the Kraft inequality "
-                    f"({kraft:.4f} > 1): not a prefix code"
-                )
         self.codes = _canonical_codes(self.lengths)
         self._decode_tables: _DecodeTables | None = None
 
@@ -509,9 +502,7 @@ class HuffmanCodec:
     def from_symbols(
         cls, symbols: np.ndarray, alphabet_size: int, max_code_length: int = 24
     ) -> "HuffmanCodec":
-        freqs = np.bincount(
-            np.asarray(symbols).ravel(), minlength=alphabet_size
-        )
+        freqs = symbol_histogram(symbols, alphabet_size)
         return cls.from_frequencies(freqs, max_code_length)
 
     @property
@@ -792,9 +783,7 @@ class HuffmanCodec:
 
     def _build_decode_tables(self) -> _DecodeTables:
         if self._decode_tables is None:
-            self._decode_tables = _decode_tables_for(
-                self.lengths, self.codes, max(self.max_len, 1)
-            )
+            self._decode_tables = _decode_tables_for(self.lengths, self.max_len)
         return self._decode_tables
 
     def decode(self, stream: EncodedStream) -> np.ndarray:
@@ -859,22 +848,22 @@ class HuffmanCodec:
             padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
         max_byte = payload.size  # clamp: corrupt cursors must not escape
         k = tables.k
-        chain = tables.chain
+        chain = _SAFE_WINDOW_BITS // _FUSED_BITS
         cap = chain * k
         roww = 1 + k  # fused-table row: meta word + k symbol slots
-        shift = np.uint64(64 - tables.width)
+        shift = np.uint64(64 - _FUSED_BITS)
         # Fast rounds run in plain int64: the window view reinterprets
         # the uint64 bits (two's complement shifts produce the same bit
         # patterns), the arithmetic right shift's sign fill is masked
         # off, and no per-chain astype casts remain.
-        shift_i = np.int64(64 - tables.width)
-        mask_i = np.int64((1 << tables.width) - 1)
+        shift_i = np.int64(64 - _FUSED_BITS)
+        mask_i = np.int64((1 << _FUSED_BITS) - 1)
         # When the fused row width is a power of two the ``idx * roww``
         # flat-row offset folds into the shift/mask pair for free.
         if roww & (roww - 1) == 0:
             rsh = roww.bit_length() - 1
-            shift_r = np.int64(64 - tables.width - rsh)
-            mask_r = np.int64(((1 << tables.width) - 1) << rsh)
+            shift_r = np.int64(64 - _FUSED_BITS - rsh)
+            mask_r = np.int64(((1 << _FUSED_BITS) - 1) << rsh)
             fold = True
         else:
             shift_r, mask_r = shift_i, mask_i
@@ -1043,15 +1032,10 @@ class HuffmanCodec:
         # * only the *last* block can be short, so the active set is
         #   always a prefix of the block arrays — no per-round
         #   ``flatnonzero``.
-        #
-        # With ``primary_bits == max_len`` (the fused flat layout, codes
-        # up to ``_FLAT_TABLE_BITS``) the secondary is empty and the
-        # ``long_mask`` branch below never fires.
         n = stream.n_symbols
         out = np.zeros(n, dtype=self.symbol_dtype)
         if n == 0:
             return out, 0, 0
-        primary_bits = tables.primary_bits
         primary, secondary = tables.primary, tables.secondary
         sub_base, sub_depth = tables.sub_base, tables.sub_depth
         max_len = max(self.max_len, 1)
@@ -1072,7 +1056,7 @@ class HuffmanCodec:
         else:
             padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
         max_byte = payload.size  # clamp: corrupt cursors must not escape
-        prim_shift = np.uint64(64 - primary_bits)
+        prim_shift = np.uint64(64 - _PRIMARY_BITS)
         rem_shift = np.uint64(64 - max_len)
         rem_mask = (1 << sub_depth) - 1
         rounds = 0

@@ -126,6 +126,102 @@ class TestZeroBlockSize:
             container_info(self._corrupt(mode))
 
 
+class TestForgedSymbolCount:
+    """The stream header's symbol count sizes the decoder's output array,
+    so a forged count must be rejected before anything is allocated for
+    it, by ``container_info`` as well as ``decompress``."""
+
+    @pytest.fixture(scope="class")
+    def container(self):
+        from repro.core.stream import read_container
+
+        blob = compress(_field((64, 64, 64)), mode="rel", bound=1e-4)
+        stream = read_container(blob)[2].to_bytes()
+        start = blob.index(len(stream).to_bytes(6, "big") + stream) + 6
+        return blob, start
+
+    @staticmethod
+    def _forge(container, offset, field):
+        blob, start = container
+        out = bytearray(blob)
+        out[start + offset : start + offset + len(field)] = field
+        return bytes(out)
+
+    @pytest.mark.parametrize("read", [decompress, container_info])
+    def test_inflated_count_rejected(self, container, read):
+        """64 x (2^32 - 1) symbols in blocks of 2^32 - 1 keep the
+        64-entry block index parseable; the decoder then asked for a
+        512 GiB output and raised MemoryError."""
+        forged = self._forge(
+            container, 0,
+            (64 * (2**32 - 1)).to_bytes(6, "big") + (2**32 - 1).to_bytes(4, "big"),
+        )
+        with pytest.raises(ValueError, match="block index holds"):
+            read(forged)
+
+    @pytest.mark.parametrize("read", [decompress, container_info])
+    def test_count_not_matching_shape_rejected(self, container, read):
+        forged = self._forge(container, 0, (64**3 - 1).to_bytes(6, "big"))
+        with pytest.raises(ValueError, match="262143 codes for 262144"):
+            read(forged)
+
+    @pytest.mark.parametrize("read", [decompress, container_info])
+    def test_block_bits_past_payload_rejected(self, container, read):
+        forged = self._forge(container, 16, bytes([0xFF] * 5))
+        with pytest.raises(ValueError, match="block index holds"):
+            read(forged)
+
+
+class TestTwoLevelTableBudget:
+    """A Kraft-valid length table can ask the two-level decode table for
+    thousands of deep subtables; they are counted before any is
+    allocated."""
+
+    def test_deep_subtables_rejected_in_bounded_memory(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.core.stream import Header, write_container
+        from repro.encoding.huffman import HuffmanCodec
+
+        # 8000 codes of 14 bits (4000 distinct 13-bit prefixes) and one
+        # of 32: every prefix wanted its own 2^19-entry subtable, 16 GB.
+        lengths = np.zeros(1 << 13, dtype=np.int64)
+        lengths[:8000] = 14
+        lengths[8000] = 32
+        codec = HuffmanCodec(lengths)
+        header = Header(np.dtype(np.float32), (64, 64), 13, 1, 1e-3, 1.0, 0)
+        codes = np.arange(64 * 64) % 8001
+        path = tmp_path / "deep.sz"
+        path.write_bytes(write_container(header, codec, codec.encode(codes), b""))
+        # Decode under a 2 GB address-space cap, so that a build that
+        # does allocate them fails with MemoryError instead of taking
+        # the host's memory.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from repro.core import decompress\n"
+            "try:\n"
+            "    decompress(open(sys.argv[1], 'rb').read())\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.stdout.startswith("ValueError"), proc.stdout + proc.stderr
+        assert "16781410304 bytes" in proc.stdout
+
+
 class TestV2Truncation:
     @pytest.fixture()
     def container(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.encoding.huffman as hf
 from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.huffman import (
     EncodedStream,
@@ -76,6 +77,36 @@ class TestCodeLengths:
         entropy = -np.sum(p * np.log2(p))
         avg_len = np.sum(p * lengths)
         assert entropy <= avg_len < entropy + 1.0  # Huffman is within 1 bit
+
+
+class TestSymbolHistogram:
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 2**20])
+    def test_matches_bincount_across_chunk_edges(self, monkeypatch, chunk):
+        monkeypatch.setattr(hf, "_PACK_CHUNK", chunk)
+        codes = np.random.default_rng(chunk).integers(0, 300, 9_999)
+        for symbols in (codes.astype(np.uint16), codes, codes[:0]):
+            # Symbols past the alphabet widen the counts, as in bincount.
+            want = np.bincount(symbols, minlength=256)
+            got = hf.symbol_histogram(symbols, 256)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_transient_bounded_for_uint16_codes(self):
+        """``np.bincount`` copies all its input to intp first: 50 MB for
+        6.25M uint16 codes, where a chunk's copy is 8 MB."""
+        import tracemalloc
+
+        codes = np.random.default_rng(0).integers(
+            0, 1 << 16, 6_250_000, dtype=np.uint16
+        )
+        tracemalloc.start()
+        try:
+            counts = hf.symbol_histogram(codes, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == codes.size
+        assert peak < 16e6
 
 
 class TestCanonicalCodes:

@@ -71,6 +71,14 @@ class TestAdversarialTables:
         with pytest.raises(ValueError, match="Kraft"):
             HuffmanCodec(np.array([1, 1, 1]))
 
+    def test_kraft_excess_below_float_tolerance_rejected(self):
+        # Lengths 1..31 and three 32s sum to 1 + 2^-32, which a float sum
+        # with a 1e-9 tolerance accepted; the canonical codes then ran
+        # past the decode table (IndexError on decode).
+        lengths = np.concatenate([np.arange(1, 32), [32, 32, 32]])
+        with pytest.raises(ValueError, match="Kraft"):
+            HuffmanCodec(lengths)
+
     def test_oversize_length_rejected(self):
         with pytest.raises(ValueError, match="decoder limit"):
             HuffmanCodec(np.array([40, 1]))

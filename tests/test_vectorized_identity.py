@@ -430,58 +430,44 @@ class TestCodeDtypes:
             np.testing.assert_array_equal(decoded, symbols)
 
 
-# Decode-table variants, forced via the module thresholds.  The cache
-# keys on the threshold values, so patched runs can never serve (or
-# poison) a table built under different thresholds.
-VARIANTS = {
-    "multi": {},  # default for max_len <= _MULTI_TABLE_BITS
-    "flat": {"_MULTI_TABLE_BITS": 0, "_FLAT_TABLE_BITS": 20},
-    "two_level": {"_MULTI_TABLE_BITS": 0, "_FLAT_TABLE_BITS": 0},
-}
-
-_EXPECTED_TABLES = {
-    "multi": hf._MultiTables,
-    "flat": hf._TwoLevelTables,
-    "two_level": hf._TwoLevelTables,
+# The two decode-table layouts, each built straight from the length
+# table and run through its own decoder.  The fused table holds codes of
+# up to ``_FUSED_BITS`` bits; the two-level table holds any code.
+LAYOUTS = {
+    "multi": (hf._build_multi_tables, HuffmanCodec._decode_multi),
+    "two_level": (hf._build_two_level_tables, HuffmanCodec._decode_two_level),
 }
 
 
-def _decode_with_variant(
-    codec: HuffmanCodec, stream: EncodedStream, variant: str
+def _decode_with_layout(
+    codec: HuffmanCodec, stream: EncodedStream, layout: str
 ) -> np.ndarray:
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in VARIANTS[variant].items():
-            mp.setattr(hf, name, value)
-        fresh = HuffmanCodec(codec.lengths)
-        tables = fresh._build_decode_tables()
-        assert isinstance(tables, _EXPECTED_TABLES[variant])
-        if variant == "flat":
-            assert tables.secondary.size == 0
-        return fresh.decode(stream)
+    build, decode = LAYOUTS[layout]
+    return decode(codec, stream, build(codec.lengths))[0]
 
 
 class TestDecodeVariantIdentity:
-    """Every decode-table variant pitted against ``decode_scalar``."""
+    """Every decode-table layout pitted against ``decode_scalar``."""
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_single_symbol_alphabet(self, variant):
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_single_symbol_alphabet(self, layout):
         codec = HuffmanCodec(np.array([1], dtype=np.int64))
         symbols = np.zeros(777, dtype=np.int64)
         stream = codec.encode(symbols, block_size=100)
         np.testing.assert_array_equal(
-            _decode_with_variant(codec, stream, variant), symbols
+            _decode_with_layout(codec, stream, layout), symbols
         )
         np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_skewed_frequencies(self, variant):
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_skewed_frequencies(self, layout):
         rng = np.random.default_rng(11)
         symbols = np.minimum(rng.geometric(0.55, 6000) - 1, 200).astype(
             np.int64
         )
         codec = HuffmanCodec.from_symbols(symbols, 201)
         stream = codec.encode(symbols, block_size=192)
-        got = _decode_with_variant(codec, stream, variant)
+        got = _decode_with_layout(codec, stream, layout)
         np.testing.assert_array_equal(got, symbols)
         np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
 
@@ -504,6 +490,35 @@ class TestDecodeVariantIdentity:
         np.testing.assert_array_equal(codec.decode(stream), symbols)
         np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
 
+    @staticmethod
+    def _chain_roundtrip(depth: int) -> HuffmanCodec:
+        """Round-trip shallow and deepest symbols of the chain code
+        ``1, 2, ..., depth - 1, depth, depth`` through ``decode`` and
+        ``decode_scalar``; returns the codec."""
+        codec = HuffmanCodec(
+            np.concatenate([np.arange(1, depth), [depth, depth]])
+        )
+        symbols = np.random.default_rng(depth).choice(
+            np.array([0, 1, 2, depth - 2, depth - 1, depth]), size=400
+        )
+        stream = codec.encode(symbols, block_size=37)
+        np.testing.assert_array_equal(codec.decode(stream), symbols)
+        np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
+        return codec
+
+    @pytest.mark.parametrize("depth", [17, 18, 19, 20])
+    def test_17_to_20_bit_codes_decode_two_level(self, depth):
+        # The fused table is 16 bits wide; a wider one (5.8 MB at 17
+        # bits, 46 MB at 20) is never built.
+        codec = self._chain_roundtrip(depth)
+        assert isinstance(codec._build_decode_tables(), hf._TwoLevelTables)
+
+    def test_22_bit_code_tables_under_1mb(self):
+        # A table 2^22 entries wide, indexed by the whole code, would
+        # take 33.6 MB; the 13-bit primary and one subtable take 0.1 MB.
+        codec = self._chain_roundtrip(22)
+        assert hf._tables_nbytes(codec._build_decode_tables()) < 1 << 20
+
     @given(case=huffman_symbol_streams())
     @settings(max_examples=40, deadline=None)
     def test_variants_match_scalar_reference(self, case):
@@ -512,8 +527,9 @@ class TestDecodeVariantIdentity:
         stream = codec.encode(symbols, block_size=block_size)
         ref = codec.decode_scalar(stream)
         np.testing.assert_array_equal(ref, symbols)
-        for variant in sorted(VARIANTS):
-            got = _decode_with_variant(codec, stream, variant)
+        fused_ok = codec.max_len <= hf._FUSED_BITS
+        for layout in sorted(LAYOUTS) if fused_ok else ["two_level"]:
+            got = _decode_with_layout(codec, stream, layout)
             np.testing.assert_array_equal(got, ref)
 
 
