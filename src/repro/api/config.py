@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.adaptive import DEFAULT_THETA
 from repro.core.bounds import ErrorBound
 from repro.core.predictor import MAX_LAYERS
 from repro.encoding.coders import DEFAULT_ENTROPY_CODER, available_coders
@@ -38,6 +37,7 @@ from repro.encoding.coders import DEFAULT_ENTROPY_CODER, available_coders
 __all__ = ["SZConfig", "config_from"]
 
 _MAX_INTERVAL_BITS = 16  # adaptive retry ceiling; mirrors the compressor
+DEFAULT_THETA = 0.99  # hitting rate the adaptive retry must reach
 
 
 def _coerce_error_bound(value: Any) -> ErrorBound:

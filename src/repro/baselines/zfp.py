@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.encoding.bitio import BitReader, BitWriter, pack_varlen, read_bits_at, unpack_varlen
 from repro.encoding.huffman import HuffmanCodec
-from repro.encoding.ragged import last_true_index
 
 __all__ = ["ZFPLike"]
 
@@ -398,6 +397,21 @@ def _encode_planes(
     return np.packbits(bits), block_bits
 
 
+def _last_true_index(mask: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Index of the last True along ``axis``; -1 where the slice is all False.
+
+    Finds the final significant coefficient of a bit plane in every
+    block at once.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    n = mask.shape[axis]
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    shape = [1] * mask.ndim
+    shape[axis] = n
+    scored = np.where(mask, idx.reshape(shape), 0)
+    return scored.max(axis=axis) - 1
+
+
 def _encode_one_plane(
     bits_p: np.ndarray,
     n_state: np.ndarray,
@@ -410,7 +424,7 @@ def _encode_one_plane(
     n = np.where(active, n_state, 0)
     tail_mask = cols[None, :] >= n[:, None]
     set_tail = (bits_p != 0) & tail_mask & active[:, None]
-    s_k = last_true_index(set_tail, axis=1)  # -1 when no set bit
+    s_k = _last_true_index(set_tail, axis=1)  # -1 when no set bit
     k = set_tail.sum(axis=1)
     c_excl = np.cumsum(set_tail, axis=1) - set_tail
     has_set = k > 0

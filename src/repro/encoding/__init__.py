@@ -6,8 +6,6 @@ bitio
     ``BitWriter``/``BitReader`` field accumulators plus vectorized
     variable-length bit packing built on NumPy (``ScalarBitWriter`` is
     the retained byte-at-a-time reference).
-ragged
-    Index arithmetic for ragged (variable-length per segment) arrays.
 huffman
     Canonical Huffman coding for arbitrary alphabet sizes (the paper's
     tailored variable-length encoder, Section IV-A).

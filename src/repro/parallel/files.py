@@ -112,16 +112,28 @@ def create_archive(
 
 
 def read_manifest(archive: bytes) -> list[ArchiveEntry]:
-    """Parse the manifest without touching any entry payload."""
+    """Parse the manifest without touching any entry payload.
+
+    Raises ``ValueError`` when the header, the entry count or any name or
+    length field does not fit in ``archive``.
+    """
     if archive[:4] != _MAGIC:
         raise ValueError("not an SZ archive")
+    if len(archive) < 9:
+        raise ValueError("truncated archive header")
     if archive[4] != _VERSION:
         raise ValueError(f"unsupported archive version {archive[4]}")
     count = int.from_bytes(archive[5:9], "big")
+    # Every entry takes at least 8 manifest bytes (its two length
+    # fields), so a forged count fails here instead of driving the loop.
+    if 9 + 8 * count > len(archive):
+        raise ValueError(f"archive entry count {count} overruns the archive")
     pos = 9
     metas: list[tuple[str, int]] = []
     for _ in range(count):
         nlen = int.from_bytes(archive[pos : pos + 2], "big")
+        if pos + 2 + nlen + 6 > len(archive):
+            raise ValueError("truncated archive manifest")
         pos += 2
         name = archive[pos : pos + nlen].decode("utf-8")
         pos += nlen

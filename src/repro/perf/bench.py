@@ -10,8 +10,8 @@ a stage path joins the span names below the operation's ``compress`` /
 ``decompress`` root with ``/`` (``entropy/huffman_encode``), and its
 seconds include its child spans.  The committed ``BENCH_*.json`` files
 form the repo's performance trajectory; the CI gate
-(:mod:`repro.perf.gate`) compares a fresh run against
-``benchmarks/baselines/bench_baseline.json``.
+(:mod:`repro.perf.gate`) runs the tiny sweep of a change and of its
+base, alternately on one machine, and compares them.
 
 Usage::
 
@@ -48,7 +48,6 @@ __all__ = [
     "SCHEMA",
     "SCALES",
     "bench_report",
-    "calibrate",
     "main",
     "synth_field",
     "validate_report",
@@ -139,26 +138,6 @@ def _mode_config(mode: str) -> "SZConfig":
 
     bound = {"abs": 1e-3, "rel": 1e-4, "pw_rel": 1e-3, "psnr": 84.0}[mode]
     return SZConfig.from_kwargs(mode=mode, bound=bound)
-
-
-def calibrate(repeats: int = 5) -> float:
-    """Median seconds of a fixed NumPy workload — a machine-speed yardstick.
-
-    The CI gate divides stage times by this before comparing against the
-    committed baseline, so a slower/faster runner shifts both sides
-    equally instead of tripping the tolerance.
-    """
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(1 << 21)
-    times: list[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        y = np.cumsum(x)
-        y = np.sort(y[: 1 << 19])
-        float(y[0])
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return times[len(times) // 2]
 
 
 def _git_rev() -> str:
@@ -361,7 +340,6 @@ def bench_report(
         "machine": _machine_info(),
         "scale": scale,
         "repeats": repeats,
-        "calibration_seconds": calibrate(),
         "cases": cases,
     }
     if "estimate" in kinds:
@@ -385,7 +363,6 @@ _REQUIRED_TOP = (
     "machine",
     "scale",
     "repeats",
-    "calibration_seconds",
     "cases",
 )
 _REQUIRED_CASE = (

@@ -152,13 +152,6 @@ def config_from_container(source: Any) -> Any:
     return SZConfig.from_kwargs(mode="abs", bound=h.abs_bound)
 
 
-def _metric_of(est: Estimate, target_kind: str) -> float:
-    if target_kind == "ratio":
-        return est.ratio
-    assert est.psnr is not None
-    return est.psnr
-
-
 def _direction(mode: str, target_kind: str) -> int:
     """Sign of d(metric)/d(bound) for the monotone search.
 

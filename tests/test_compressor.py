@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.config import DEFAULT_THETA, SZConfig
 from repro.core import (
     compress,
     compress_with_stats,
@@ -146,6 +147,83 @@ class TestStats:
         )
         assert stats.interval_bits > 2
         assert stats.adaptive_attempts > 1
+
+
+class TestAdaptiveIntervals:
+    """The interval count against the hitting rate (paper Section IV-B).
+
+    Every rate here is the real quantizer's, as ``adaptive=True`` reruns
+    it: there is no sampled estimate to drift from the codec.
+    """
+
+    @staticmethod
+    def stats(data, **kw):
+        return compress_with_stats(data, **kw)[1]
+
+    def test_smooth_data_high_hit_rate(self, smooth2d):
+        stats = self.stats(smooth2d, mode="rel", bound=1e-2, interval_bits=8)
+        assert stats.hit_rate > 0.95
+
+    def test_hit_rate_collapses_at_tight_bounds(self, smooth2d):
+        """Fig. 4: the hitting rate drops sharply once the bound is too
+        tight for the interval count."""
+        loose = self.stats(smooth2d, mode="rel", bound=1e-2, interval_bits=4)
+        tight = self.stats(smooth2d, mode="rel", bound=1e-7, interval_bits=4)
+        assert loose.hit_rate > 0.8
+        assert tight.hit_rate < 0.5 * loose.hit_rate
+
+    def test_more_intervals_cover_tighter_bounds(self, smooth2d):
+        small = self.stats(smooth2d, mode="rel", bound=1e-5, interval_bits=4)
+        large = self.stats(smooth2d, mode="rel", bound=1e-5, interval_bits=12)
+        assert large.hit_rate > small.hit_rate
+
+    def test_monotone_in_interval_bits(self, spiky2d):
+        rates = [
+            self.stats(spiky2d, mode="rel", bound=1e-4, interval_bits=m).hit_rate
+            for m in (2, 4, 8, 12, 16)
+        ]
+        assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+    def test_easy_data_keeps_configured_m(self, smooth2d):
+        stats = self.stats(smooth2d, mode="rel", bound=1e-2, adaptive=True)
+        assert stats.interval_bits == 8
+        assert stats.adaptive_attempts == 1
+
+    def test_tighter_bound_needs_larger_m(self, rng):
+        noise = rng.standard_normal((128, 128))
+        m = [
+            self.stats(
+                noise, mode="rel", bound=rel, interval_bits=2, adaptive=True
+            ).interval_bits
+            for rel in (1e-1, 1e-3, 1e-6)
+        ]
+        assert m[0] < m[1] < m[2]
+
+    def test_stops_at_first_m_reaching_theta(self, rng):
+        noise = rng.standard_normal((128, 128))
+        kw = dict(mode="rel", bound=1e-3)
+        chosen = self.stats(noise, interval_bits=2, adaptive=True, **kw)
+        assert chosen.interval_bits < 16
+        assert chosen.hit_rate >= DEFAULT_THETA
+        # One step (two bits) fewer falls short, so no smaller m of the
+        # retry sequence would do.
+        fewer = self.stats(noise, interval_bits=chosen.interval_bits - 2, **kw)
+        assert fewer.hit_rate < DEFAULT_THETA
+
+    def test_grows_two_bits_a_retry_up_to_the_ceiling(self, rng):
+        white = rng.standard_normal(4096)
+        stats = self.stats(
+            white, mode="abs", bound=1e-12, interval_bits=3, adaptive=True
+        )
+        # 3, 5, ..., 15, then clamped to 16: the largest count is kept
+        # even though it still misses the target.
+        assert stats.interval_bits == 16
+        assert stats.adaptive_attempts == 8
+        assert stats.hit_rate < DEFAULT_THETA
+
+    def test_default_theta(self):
+        assert DEFAULT_THETA == 0.99
+        assert SZConfig(("abs", 1.0)).theta == DEFAULT_THETA
 
 
 class TestValidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.parallel.files import (
     create_archive,
     extract,
     extract_all,
+    extract_region,
     read_manifest,
 )
 
@@ -82,6 +85,50 @@ class TestArchive:
         with pytest.raises(ValueError):
             read_manifest(archive[: len(archive) - 50])
 
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            b"SZAR",
+            b"SZAR\x01" + (2**32 - 1).to_bytes(4, "big"),
+            b"SZAR\x01" + (1).to_bytes(4, "big") + b"\x00\x09name\x00\x00",
+            b"SZAR\x01" + (1).to_bytes(4, "big") + b"\x00\x01n" + bytes(5),
+        ],
+        ids=["short-header", "forged-count", "name-overrun", "length-overrun"],
+    )
+    def test_forged_manifest_raises_promptly(self, forged):
+        # Empty slices past the end read as zero-length entries, so an
+        # unchecked count loops once per claimed entry.
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            read_manifest(forged)
+        with pytest.raises(ValueError):
+            archive_info(forged)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda a: extract(a, "temp"),
+            lambda a: extract_all(a),
+            lambda a: extract_region(a, "temp", (slice(0, 2),)),
+        ],
+        ids=["extract", "extract_all", "extract_region"],
+    )
+    def test_forged_count_fails_every_reader(self, reader):
+        forged = b"SZAR\x01" + (2**32 - 1).to_bytes(4, "big")
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="entry count"):
+            reader(forged)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_every_truncation_raises_value_error(self, bundle):
+        # Header, manifest and payload cuts all fail the same way, never
+        # with an IndexError or a half-read name.
+        archive = create_archive(arrays=bundle, mode="rel", bound=1e-3)
+        for cut in range(len(archive)):
+            with pytest.raises(ValueError):
+                read_manifest(archive[:cut])
+
     def test_tiled_entries(self, bundle):
         archive = create_archive(
             arrays=bundle, mode="rel", bound=1e-3, tile_shape=(8, 8)
@@ -98,8 +145,6 @@ class TestArchive:
             assert err <= 1e-3 * rng_
 
     def test_tiled_entry_region(self, bundle):
-        from repro.parallel.files import extract_region
-
         archive = create_archive(
             arrays=bundle, mode="rel", bound=1e-3, tile_shape=(8, 8)
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 import pytest
@@ -17,17 +18,17 @@ from repro.perf.bench import (
     _median_stages,
     _stage_table,
     bench_report,
-    calibrate,
     synth_field,
     validate_report,
 )
+from repro.perf import gate
 from repro.perf.gate import (
-    compare_reports,
+    compare_rounds,
     missing_required_stages,
     stage_coverage_notes,
 )
 
-BASELINE = Path(__file__).parent.parent / "benchmarks" / "baselines" / "bench_baseline.json"
+BENCH_MICRO = Path(__file__).parent.parent / "BENCH_micro.json"
 
 
 class TestStageTable:
@@ -154,12 +155,17 @@ class TestPipelineInstrumentation:
 class TestBenchStageTable:
     def test_stage_paths_and_calls_match_baseline(self):
         # The gate skips stages under its 5 ms floor, so a renamed or
-        # dropped stage there would pass it; pin every path and count.
+        # dropped stage there would pass it; pin every path and count
+        # against the committed trajectory point (its calls do not
+        # depend on the scale).  It carries ``calibration_seconds``, as
+        # a base tree's reports may, and must still validate.
         def calls(case, side):
             return {p: rec["calls"] for p, rec in case[side]["stages"].items()}
 
-        with open(BASELINE) as fh:
-            baseline = {c["name"]: c for c in json.load(fh)["cases"]}
+        with open(BENCH_MICRO) as fh:
+            micro = json.load(fh)
+        validate_report(micro)
+        baseline = {c["name"]: c for c in micro["cases"]}
         report = bench_report(scale="tiny", repeats=1)
         assert sorted(c["name"] for c in report["cases"]) == sorted(baseline)
         for case in report["cases"]:
@@ -188,7 +194,6 @@ def _tiny_report(**kw):
 def _strip_volatile(report: dict) -> dict:
     out = json.loads(json.dumps(report))  # deep copy via round-trip
     out.pop("created_unix")
-    out.pop("calibration_seconds")
     def scrub(stages):
         for rec in stages.values():
             rec.pop("seconds")
@@ -213,15 +218,18 @@ class TestBenchReport:
     def test_required_keys_enforced(self):
         report = _tiny_report()
         broken = copy.deepcopy(report)
-        del broken["calibration_seconds"]
-        with pytest.raises(ValueError, match="calibration_seconds"):
-            validate_report(broken)
-        broken = copy.deepcopy(report)
         del broken["cases"][0]["compress"]["stages"]
         with pytest.raises(ValueError, match="stages"):
             validate_report(broken)
         with pytest.raises(ValueError, match="schema"):
             validate_report({"schema": "other/9"})
+
+    def test_reports_with_calibration_still_validate(self):
+        # Bench no longer writes ``calibration_seconds``; a base tree
+        # from before that still does, and its reports stay readable.
+        report = _tiny_report()
+        assert "calibration_seconds" not in report
+        validate_report({**report, "calibration_seconds": 0.25})
 
     def test_determinism_modulo_timings(self):
         a = _strip_volatile(_tiny_report())
@@ -244,9 +252,6 @@ class TestBenchReport:
         with pytest.raises(ValueError, match="repeats"):
             bench_report(scale="tiny", repeats=0)
 
-    def test_calibration_positive(self):
-        assert calibrate(repeats=1) > 0.0
-
     def test_synth_field_deterministic(self):
         a = synth_field((8, 9), "float32", seed=2)
         b = synth_field((8, 9), "float32", seed=2)
@@ -254,90 +259,131 @@ class TestBenchReport:
         assert a.dtype == np.float32
 
 
+def _timed(report: dict, seconds: float) -> dict:
+    """A copy of ``report`` with every time set to ``seconds``."""
+    out = copy.deepcopy(report)
+    for case in out["cases"]:
+        for side in ("compress", "decompress"):
+            case[side]["seconds"] = seconds
+            for rec in case[side]["stages"].values():
+                rec["seconds"] = seconds
+    return out
+
+
+def _slowed(report: dict, factor: float, metric: str | None = None) -> dict:
+    """A copy of ``report`` with the first case's ``metric`` (every
+    metric of every case when ``None``) ``factor`` times slower."""
+    out = copy.deepcopy(report)
+    for case in out["cases"] if metric is None else out["cases"][:1]:
+        for side in ("compress", "decompress"):
+            if metric in (None, side):
+                case[side]["seconds"] *= factor
+            for path, rec in case[side]["stages"].items():
+                if metric in (None, f"{side}:{path}"):
+                    rec["seconds"] *= factor
+    return out
+
+
 class TestPerfGate:
     @pytest.fixture(scope="class")
-    def baseline(self):
-        return _tiny_report()
+    def base(self):
+        # Every metric at 10 ms, above the 5 ms floor, in each of 5 rounds.
+        report = _timed(_tiny_report(), 0.01)
+        return [copy.deepcopy(report) for _ in range(5)]
 
-    def test_identical_reports_pass(self, baseline):
-        assert compare_reports(baseline, copy.deepcopy(baseline)) == []
+    def test_identical_rounds_pass(self, base):
+        assert compare_rounds(base, copy.deepcopy(base)) == []
 
-    def test_slow_stage_fails(self, baseline):
-        fresh = copy.deepcopy(baseline)
-        case = fresh["cases"][0]
-        case["compress"]["seconds"] *= 10.0
-        for rec in case["compress"]["stages"].values():
-            rec["seconds"] *= 10.0
-        regressions = compare_reports(
-            baseline, fresh, tolerance=1.5, floor_seconds=0.0
-        )
-        metrics = {r["metric"] for r in regressions}
-        assert "compress" in metrics
-        assert all(r["slowdown"] > 1.5 for r in regressions)
+    def test_slow_stage_fails(self, base):
+        change = [_slowed(r, 1.6, "compress:quantize") for r in base]
+        regressions = compare_rounds(base, change, tolerance=1.5)
+        assert [(r["case"], r["metric"]) for r in regressions] == [
+            (base[0]["cases"][0]["name"], "compress:quantize")
+        ]
+        assert regressions[0]["ratio"] == pytest.approx(1.6)
+        assert regressions[0]["base_seconds"] == pytest.approx(0.01)
+        assert regressions[0]["change_seconds"] == pytest.approx(0.016)
 
-    def test_within_tolerance_passes(self, baseline):
-        fresh = copy.deepcopy(baseline)
-        for case in fresh["cases"]:
-            case["compress"]["seconds"] *= 1.2
-            case["decompress"]["seconds"] *= 1.2
-        assert compare_reports(baseline, fresh, tolerance=1.5) == []
+    def test_within_tolerance_passes(self, base):
+        change = [_slowed(r, 1.2) for r in base]
+        assert compare_rounds(base, change, tolerance=1.5) == []
 
-    def test_missing_case_fails(self, baseline):
-        fresh = copy.deepcopy(baseline)
-        fresh["cases"] = fresh["cases"][1:]
-        regressions = compare_reports(baseline, fresh)
-        assert any(r["metric"] == "missing" for r in regressions)
+    def test_one_slow_round_in_five_passes(self, base):
+        # A slow spell on a shared host hits one round; the median of
+        # the paired ratios ignores it.
+        change = copy.deepcopy(base)
+        change[2] = _slowed(change[2], 3.0)
+        assert compare_rounds(base, change) == []
+        change[0] = _slowed(change[0], 3.0)
+        change[4] = _slowed(change[4], 3.0)
+        assert compare_rounds(base, change) != []
 
-    def test_missing_stage_fails(self, baseline):
+    def test_slow_spells_on_both_sides_cancel(self, base):
+        # Rounds 1-2 run on a host twice as slow for both sides; round 3
+        # is slow for the change alone.  Every other pair reads 1.2x,
+        # while the ratio of the per-side medians would read 2.4x.
+        spells = [1.0, 2.0, 2.0, 1.0, 1.0]
+        change_only = [1.0, 1.0, 1.0, 2.0, 1.0]
+        slow_base = [_slowed(r, s) for r, s in zip(base, spells)]
+        change = [
+            _slowed(r, 1.2 * s * c) for r, s, c in zip(base, spells, change_only)
+        ]
+        assert median(
+            r["cases"][0]["compress"]["seconds"] for r in change
+        ) / median(
+            r["cases"][0]["compress"]["seconds"] for r in slow_base
+        ) == pytest.approx(2.4)
+        assert compare_rounds(slow_base, change) == []
+        assert compare_rounds(slow_base, change, tolerance=1.1) != []
+
+    def test_case_only_in_change_is_not_compared(self, base):
+        # A new case has nothing to regress against; the coverage notes
+        # name it instead.
+        change = copy.deepcopy(base)
+        for r in change:
+            extra = copy.deepcopy(r["cases"][0])
+            extra["name"] = "9d-f32-new"
+            r["cases"].append(extra)
+        assert compare_rounds(base, change) == []
+
+    def test_invalid_round_rejected(self, base):
+        change = copy.deepcopy(base)
+        del change[2]["cases"][0]["decompress"]["stages"]
+        with pytest.raises(ValueError, match="stages"):
+            compare_rounds(base, change)
+
+    def test_missing_case_fails(self, base):
+        change = copy.deepcopy(base)
+        lost = change[3]["cases"].pop(0)["name"]
+        regressions = compare_rounds(base, change)
+        assert [(r["case"], r["metric"]) for r in regressions] == [
+            (lost, "missing")
+        ]
+
+    def test_missing_stage_fails(self, base):
         # Removing instrumentation must not pass vacuously.
-        fresh = copy.deepcopy(baseline)
-        case = fresh["cases"][0]
-        case["compress"]["stages"].pop("quantize")
-        regressions = compare_reports(baseline, fresh, floor_seconds=0.0)
-        assert any(
-            "quantize (stage missing)" in r["metric"] for r in regressions
-        )
+        change = copy.deepcopy(base)
+        change[1]["cases"][0]["compress"]["stages"].pop("quantize")
+        regressions = compare_rounds(base, change)
+        assert [r["metric"] for r in regressions] == [
+            "compress:quantize (missing)"
+        ]
+        assert regressions[0]["ratio"] == float("inf")
 
-    def test_calibration_normalizes_slow_machine(self, baseline):
-        # Everything (workload and calibration) 3x slower: same machine
-        # speed ratio, so nothing really regressed.
-        fresh = copy.deepcopy(baseline)
-        fresh["calibration_seconds"] *= 3.0
-        for case in fresh["cases"]:
-            for side in ("compress", "decompress"):
-                case[side]["seconds"] *= 3.0
-                for rec in case[side]["stages"].values():
-                    rec["seconds"] *= 3.0
-        assert compare_reports(baseline, fresh, tolerance=1.5) == []
-        # ... but with normalization off the same reports fail.
-        assert compare_reports(
-            baseline, fresh, tolerance=1.5, normalize=False,
-            floor_seconds=0.0,
-        ) != []
+    def test_floor_skips_small_stages(self, base):
+        fast = [_timed(r, 1e-3) for r in base]
+        change = [_slowed(r, 100.0) for r in fast]
+        assert compare_rounds(fast, change) == []
+        for r in change:
+            r["cases"][0]["compress"]["stages"].pop("quantize")
+        assert compare_rounds(fast, change) == []
+        assert compare_rounds(fast, change, floor_seconds=0.0) != []
 
-    def test_noise_floor_skips_tiny_stages(self, baseline):
-        fresh = copy.deepcopy(baseline)
-        for case in fresh["cases"]:
-            for side in ("compress", "decompress"):
-                case[side]["seconds"] *= 100.0
-                for rec in case[side]["stages"].values():
-                    rec["seconds"] *= 100.0
-        assert compare_reports(baseline, fresh, floor_seconds=1e9) == []
-
-    def test_committed_baseline_is_valid(self):
-        with open(BASELINE) as fh:
-            report = json.load(fh)
-        validate_report(report)
-        # The CI gate pins these stages on the fresh report; the
-        # committed baseline must carry them too or a refresh would
-        # immediately lose the coverage the pin exists to protect.
-        assert missing_required_stages(
-            report,
-            [
-                "3d-f32-rel:decompress:entropy/huffman_decode",
-                "3d-f32-rel:compress:entropy/huffman_encode",
-            ],
-        ) == []
+    def test_round_counts_must_match(self, base):
+        with pytest.raises(ValueError, match="rounds"):
+            compare_rounds(base, base[:4])
+        with pytest.raises(ValueError, match="rounds"):
+            compare_rounds([], [])
 
 
 class TestRequiredStages:
@@ -365,26 +411,118 @@ class TestRequiredStages:
         with pytest.raises(ValueError, match="require-stage"):
             missing_required_stages(report, ["case:sideways:stage"])
 
-    def test_cli_fails_on_missing_required_stage(self, report, tmp_path):
-        from repro.perf.gate import main as gate_main
 
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(report))
-        case = report["cases"][0]["name"]
-        ok = gate_main(
-            [
-                str(base),
-                str(base),
-                "--require-stage",
-                f"{case}:decompress:"
-                + next(iter(report["cases"][0]["decompress"]["stages"])),
-            ]
+class TestGateCLI:
+    @pytest.fixture()
+    def run(self, monkeypatch, tmp_path, capsys):
+        """``gate.main`` over canned rounds instead of bench sweeps.
+
+        Returns the exit code, the sweeps in the order they ran and the
+        printed output.
+        """
+        base_src = tmp_path / "base"
+        (base_src / "repro").mkdir(parents=True)
+        (base_src / "repro" / "__init__.py").write_text("")
+        monkeypatch.chdir(tmp_path)
+
+        def run(base, change, *args):
+            feeds = {"base": iter(base), "change": iter(change)}
+            sweeps = []
+
+            def sweep(src, out):
+                side = "change" if src == gate.CHANGE_SRC else "base"
+                assert out.parent == (tmp_path / "perf_gate").resolve()
+                sweeps.append(out.name)
+                return copy.deepcopy(next(feeds[side]))
+
+            monkeypatch.setattr(gate, "_sweep", sweep)
+            code = gate.main([str(base_src), *args])
+            return code, sweeps, capsys.readouterr().out
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        report = _timed(_tiny_report(), 0.01)
+        return [copy.deepcopy(report) for _ in range(gate.ROUNDS)]
+
+    def test_unchanged_tree_passes_in_alternating_rounds(self, run, base):
+        code, sweeps, out = run(base, copy.deepcopy(base))
+        assert code == 0, out
+        assert "OK" in out
+        assert len(sweeps) == 2 * gate.ROUNDS
+        assert sweeps[:6] == [
+            "base-0.json", "change-0.json", "change-1.json", "base-1.json",
+            "base-2.json", "change-2.json",
+        ]
+
+    def test_slowed_stage_is_named(self, run, base):
+        change = [_slowed(r, 1.6, "decompress:entropy/huffman_decode") for r in base]
+        code, _, out = run(base, change)
+        assert code == 1
+        assert "decompress:entropy/huffman_decode" in out
+        assert "1.60x" in out
+
+    def test_require_stage_checks_every_change_report(self, run, base):
+        # Under the floor the ratio checks skip the stage; the
+        # requirement still holds it in each round.
+        fast = [_timed(r, 1e-3) for r in base]
+        case = fast[0]["cases"][0]["name"]
+        spec = f"{case}:decompress:entropy/huffman_decode"
+        assert run(fast, copy.deepcopy(fast), "--require-stage", spec)[0] == 0
+        change = copy.deepcopy(fast)
+        change[3]["cases"][0]["decompress"]["stages"].pop("entropy/huffman_decode")
+        code, _, out = run(fast, change, "--require-stage", spec)
+        assert code == 1
+        assert f"required stage absent from a change report — {spec}" in out
+
+    def test_tolerance_and_floor_options(self, run, base):
+        change = [_slowed(r, 1.6, "compress:quantize") for r in base]
+        assert run(base, change)[0] == 1
+        assert run(base, change, "--tolerance", "2.0")[0] == 0
+        assert run(base, change, "--floor", "0.02")[0] == 0
+
+    def test_bad_spec_fails_before_any_sweep(self, run):
+        # No rounds are fed: a sweep would raise StopIteration instead.
+        with pytest.raises(ValueError, match="require-stage"):
+            run([], [], "--require-stage", "just-a-case-name")
+
+    def test_base_src_must_hold_repro(self, tmp_path):
+        with pytest.raises(SystemExit):
+            gate.main([str(tmp_path)])
+
+
+class TestSweep:
+    def test_runs_the_given_tree(self, tmp_path):
+        # The base side must time the base tree's bench, not this one's.
+        fake = tmp_path / "fake"
+        (fake / "repro" / "perf").mkdir(parents=True)
+        (fake / "repro" / "__init__.py").write_text("")
+        (fake / "repro" / "perf" / "__init__.py").write_text("")
+        (fake / "repro" / "perf" / "bench.py").write_text(
+            "import json, sys\n"
+            "out = sys.argv[sys.argv.index('--out') + 1]\n"
+            "with open(out, 'w') as fh:\n"
+            "    json.dump({'tree': 'fake', 'args': sys.argv[1:]}, fh)\n"
         )
-        assert ok == 0
-        bad = gate_main(
-            [str(base), str(base), "--require-stage", f"{case}:decompress:gone"]
+        out_dir = tmp_path / "perf_gate"
+        out_dir.mkdir()
+        out = out_dir / "base-0.json"
+        report = gate._sweep(fake, out)
+        assert report == {
+            "tree": "fake", "args": [*gate.SWEEP_ARGS, "--out", str(out)],
+        }
+
+    def test_change_tree_report_validates(self, monkeypatch, tmp_path):
+        # One repeat keeps this short; the gate itself runs five.
+        monkeypatch.setattr(
+            gate, "SWEEP_ARGS", ("--scale", "tiny", "--repeats", "1")
         )
-        assert bad == 1
+        out = tmp_path / "change-0.json"
+        report = gate._sweep(gate.CHANGE_SRC, out)
+        validate_report(report)
+        assert json.loads(out.read_text()) == report
+        assert "calibration_seconds" not in report
 
 
 class TestStageCoverageNotes:
@@ -408,7 +546,7 @@ class TestStageCoverageNotes:
         sparse["cases"][0]["decompress"]["stages"] = {}
         notes = stage_coverage_notes(sparse, copy.deepcopy(baseline))
         assert len(notes) == 1
-        assert "re-baseline" in notes[0]
+        assert "base has no stage data" in notes[0]
 
     def test_empty_on_both_sides_noted(self, baseline):
         sparse = copy.deepcopy(baseline)
@@ -423,17 +561,17 @@ class TestStageCoverageNotes:
         extra["name"] = "9d-f32-new"
         fresh["cases"].append(extra)
         notes = stage_coverage_notes(baseline, fresh)
-        assert notes == ["9d-f32-new: not in baseline — uncovered by the gate"]
+        assert notes == ["9d-f32-new: not in base — uncovered by the gate"]
 
     def test_notes_do_not_fail_the_gate(self, baseline):
         # Notes are advisory: an empty stages map alone is not a
-        # regression (compare_reports handles per-stage loss itself).
+        # regression (compare_rounds handles per-stage loss itself).
         fresh = copy.deepcopy(baseline)
         for case in fresh["cases"]:
             case["compress"]["stages"] = {}
             case["decompress"]["stages"] = {}
         sparse = copy.deepcopy(fresh)
-        assert compare_reports(sparse, fresh) == []
+        assert compare_rounds([sparse], [fresh]) == []
         assert stage_coverage_notes(sparse, fresh) != []
 
 

@@ -13,6 +13,7 @@ from repro.baselines.zfp import (
     _from_negabinary,
     _fwd_lift,
     _inv_lift,
+    _last_true_index,
     _sequency_perm,
     _to_negabinary,
     _unblockize,
@@ -48,6 +49,36 @@ class TestLifting:
         _fwd_lift(f, 1)
         # w (highest frequency) should be ~0 for a perfect ramp
         assert abs(int(f[0, 3])) <= 2
+
+
+class TestLastTrueIndex:
+    def test_rows(self):
+        mask = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=bool)
+        np.testing.assert_array_equal(_last_true_index(mask, axis=1), [3, -1, 0])
+
+    def test_all_true(self):
+        mask = np.ones((2, 5), dtype=bool)
+        np.testing.assert_array_equal(_last_true_index(mask, axis=1), [4, 4])
+
+    def test_columns(self):
+        mask = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
+        np.testing.assert_array_equal(_last_true_index(mask, axis=0), [1, 1, -1])
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+        st.integers(-3, 2),
+    )
+    def test_matches_scan(self, seed, shape, axis):
+        mask = np.random.default_rng(seed).random(shape) < 0.3
+        got = _last_true_index(mask, axis=axis)
+        moved = np.moveaxis(mask, axis, -1)
+        want = np.full(moved.shape[:-1], -1)
+        for idx in np.ndindex(*moved.shape[:-1]):
+            hits = np.flatnonzero(moved[idx])
+            if hits.size:
+                want[idx] = hits[-1]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestNegabinary:
