@@ -47,8 +47,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.encoding.bitio import pack_varlen, unpack_varlen
-
 __all__ = [
     "MODES",
     "MODE_CODES",
@@ -361,58 +359,62 @@ def pw_encode_side(
 ) -> bytes:
     """Pack the pw_rel side channel: flag plane, sign plane, raw bits.
 
-    Three byte-aligned bit-packed sections — 2 bits/element of flags,
-    1 bit/element of signs, and the full IEEE words of the raw-flagged
-    elements.  Cost: 3 bits per element plus ``itemsize`` bytes per
-    special value.
+    Three sections, each starting on a byte boundary and zero-padded to
+    one: the 2-bit flags, four to a byte; the sign bits, eight to a byte
+    (``np.packbits``); and the big-endian IEEE words of the raw-flagged
+    elements, all most significant bit first.  Cost: 3 bits per element
+    plus ``itemsize`` bytes per special value.  The bytes are those of
+    :func:`repro.encoding.bitio.pack_varlen` over each section at its
+    fixed width, written without its per-element widths.
     """
-    flags_flat = flags.ravel().astype(np.uint64)
-    signs_flat = signs.ravel().astype(np.uint64)
-    n = flags_flat.size
-    sections: list[np.ndarray] = []
-    buf, _ = pack_varlen(flags_flat, np.full(n, 2, dtype=np.int64))
-    sections.append(buf)
-    buf, _ = pack_varlen(signs_flat, np.full(n, 1, dtype=np.int64))
-    sections.append(buf)
-    raw_mask = flags.ravel() == PW_FLAG_RAW
-    n_raw = int(raw_mask.sum(dtype=np.int64))
-    if n_raw:
-        uint = _UINT[np.dtype(data.dtype)]
-        bits = np.ascontiguousarray(data).ravel().view(uint)[raw_mask]
-        buf, _ = pack_varlen(
-            bits.astype(np.uint64),
-            np.full(n_raw, uint.itemsize * 8, dtype=np.int64),
-        )
-        sections.append(buf)
-    return b"".join(s.tobytes() for s in sections)
+    flags_flat = flags.ravel()
+    quads = np.zeros((-(-flags_flat.size // 4), 4), dtype=np.uint8)
+    quads.reshape(-1)[: flags_flat.size] = flags_flat
+    packed_flags = (
+        quads[:, 0] << 6 | quads[:, 1] << 4 | quads[:, 2] << 2 | quads[:, 3]
+    )
+    raw_mask = flags_flat == PW_FLAG_RAW
+    uint = _UINT[np.dtype(data.dtype)]
+    raw_bits = np.ascontiguousarray(data).ravel().view(uint)[raw_mask]
+    return b"".join((
+        packed_flags.tobytes(),
+        np.packbits(signs.ravel()).tobytes(),
+        raw_bits.astype(uint.newbyteorder(">")).tobytes(),
+    ))
 
 
 def pw_decode_side(
     payload: bytes | memoryview, n: int, dtype: np.dtype
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`pw_encode_side`: ``(flags, signs, raw values)``."""
+    """Inverse of :func:`pw_encode_side`: ``(flags, signs, raw values)``.
+
+    A payload too short for its sections raises ``EOFError``; a flag
+    outside the three defined ones raises ``ValueError``.
+    """
     dtype = np.dtype(dtype)
     buf = np.frombuffer(payload, dtype=np.uint8)
-    flags = unpack_varlen(buf, np.full(n, 2, dtype=np.int64)).astype(np.uint8)
+
+    def section(start: int, nbytes: int) -> np.ndarray:
+        if start + nbytes > buf.size:
+            raise EOFError(
+                f"pw_rel side payload needs {start + nbytes} bytes, "
+                f"holds {buf.size}"
+            )
+        return buf[start:start + nbytes]
+
+    n_flag_bytes, n_sign_bytes = -(-n // 4), -(-n // 8)
+    packed = section(0, n_flag_bytes)
+    flags = np.stack(
+        (packed >> 6, packed >> 4 & 3, packed >> 2 & 3, packed & 3), axis=1
+    ).ravel()[:n]
     if np.any(flags > PW_FLAG_RAW):
         raise ValueError("corrupt pw_rel side payload: bad flag")
-    offset = 2 * n + (-2 * n) % 8
-    signs = unpack_varlen(
-        buf, np.full(n, 1, dtype=np.int64), bit_offset=offset
-    ).astype(bool)
-    offset += n + (-n) % 8
+    signs = np.unpackbits(section(n_flag_bytes, n_sign_bytes), count=n)
     n_raw = int((flags == PW_FLAG_RAW).sum(dtype=np.int64))
     uint = _UINT[dtype]
-    if n_raw:
-        raw_bits = unpack_varlen(
-            buf,
-            np.full(n_raw, uint.itemsize * 8, dtype=np.int64),
-            bit_offset=offset,
-        )
-        raws = raw_bits.astype(uint.type).view(dtype)
-    else:
-        raws = np.zeros(0, dtype=dtype)
-    return flags, signs, raws
+    raw_bytes = section(n_flag_bytes + n_sign_bytes, n_raw * uint.itemsize)
+    raws = raw_bytes.view(uint.newbyteorder(">")).astype(uint).view(dtype)
+    return flags, signs.astype(bool), raws
 
 
 def pw_postcondition(

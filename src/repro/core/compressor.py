@@ -431,6 +431,9 @@ def _quantize_members(members: list[_Member], config: "SZConfig") -> None:
     if not members:
         return
     plan = _get_plan(members[0].data.shape, config.layers)
+    # The pw_rel repair and the psnr check read the reconstruction; an
+    # abs/rel container holds only codes and unpredictable values.
+    keep_recon = config.error_bound.mode in ("pw_rel", "psnr")
     pending = members
     while pending:
         for m in sorted({mb.m for mb in pending}):
@@ -444,6 +447,7 @@ def _quantize_members(members: list[_Member], config: "SZConfig") -> None:
                 ebs[0] if ebs.count(ebs[0]) == len(ebs) else np.array(ebs),
                 plan,
                 interval_radius(m),
+                keep_recon=keep_recon,
             ))
             share = (time.perf_counter() - t0) / len(group)
             for mb, result in zip(group, results):

@@ -34,6 +34,14 @@ pins them byte-identical to the scalar reference:
   the largest box and every ufunc writes through ``out=``; the
   accumulation *order* of the prediction sum is preserved exactly
   (including the ``+0.0`` start that normalizes signed zeros).
+* **only what the container reads** — the whole-array buffers a
+  compress holds are the quantization offsets (computed in float64
+  scratch, stored as float32, which holds every predictable offset
+  exactly), the predictable mask and, only with ``keep_recon`` (the
+  default), the wavefront-order reconstruction.  The compressor turns
+  it off for ``abs``/``rel``, whose containers never read it, so their
+  whole-array buffers take 5 bytes per value instead of 13 for float32
+  data.
 * **a batch axis** — the compressor takes a stack of same-shape arrays
   on a leading axis and runs them in lockstep, one NumPy call per
   hyperplane for the whole stack.  No stencil arm reaches across that
@@ -79,9 +87,11 @@ class WavefrontResult:
     at a quarter of an int64's bytes from the kernel to the container.
 
     ``decompressed`` — the exact array a decompressor will reconstruct —
-    is scattered from wavefront to raster order on first use: the plain
-    ``abs``/``rel`` encode path never reads it, while ``pw_rel`` /
-    ``psnr`` verification does.
+    exists only when the kernel ran with ``keep_recon=True`` (its
+    default): the ``pw_rel`` repair and the ``psnr`` check read it, the
+    plain ``abs``/``rel`` encode path does not, so the compressor runs
+    those without it.  It is scattered from wavefront to raster order on
+    first use.
     """
 
     __slots__ = ("codes", "unpredictable", "hit_rate", "_recon", "_plan")
@@ -91,7 +101,7 @@ class WavefrontResult:
         codes: np.ndarray,
         unpredictable: np.ndarray,
         hit_rate: float,
-        recon: np.ndarray,
+        recon: np.ndarray | None,
         plan: WavefrontPlan | None,
     ) -> None:
         self.codes = codes
@@ -102,6 +112,10 @@ class WavefrontResult:
 
     @property
     def decompressed(self) -> np.ndarray:
+        if self._recon is None:
+            raise RuntimeError(
+                "no reconstruction: the kernel ran with keep_recon=False"
+            )
         if self._plan is not None:
             self._recon = self._plan.to_raster(self._recon)
             self._plan = None
@@ -307,11 +321,16 @@ def wavefront_compress(
     eb: float | np.ndarray,
     plan: WavefrontPlan,
     radius: int,
+    *,
+    keep_recon: bool = True,
 ) -> WavefrontResult | list[WavefrontResult]:
     """Run prediction + error-controlled quantization over ``data``.
 
     Returns codes and unpredictable originals in wavefront order, plus
-    (lazily) the exact array a decompressor will reconstruct.
+    (lazily) the exact array a decompressor will reconstruct.  With
+    ``keep_recon=False`` the kernel stores no reconstruction, which
+    saves one array of the input's size; the codes and unpredictable
+    values are the same bytes, and ``decompressed`` raises.
 
     ``data`` of one more axis than ``plan.shape`` is a *batch*: a stack
     of independent members that run in lockstep, one NumPy call per
@@ -321,8 +340,10 @@ def wavefront_compress(
     """
     with span("quantize", bytes=data.nbytes):
         if data.ndim == len(plan.shape):
-            return _wavefront_compress(data[None], eb, plan, radius)[0]
-        return _wavefront_compress(data, eb, plan, radius)
+            return _wavefront_compress(
+                data[None], eb, plan, radius, keep_recon
+            )[0]
+        return _wavefront_compress(data, eb, plan, radius, keep_recon)
 
 
 def _wavefront_compress(
@@ -330,23 +351,28 @@ def _wavefront_compress(
     eb: float | np.ndarray,
     plan: WavefrontPlan,
     radius: int,
+    keep_recon: bool,
 ) -> list[WavefrontResult]:
     B = len(batch)
     shared = np.ndim(eb) == 0
     member_eb = [float(eb)] * B if shared else [float(e) for e in eb]
     if plan.ndim == 1:
-        return [_compress_1d(x, e, plan.n, radius)
+        return [_compress_1d(x, e, plan.n, radius, keep_recon)
                 for x, e in zip(batch, member_eb)]
     out_dtype = batch.dtype
     idt = resolve_interior_dtype(out_dtype)
     n_points = prod(plan.shape)
     flat = np.ascontiguousarray(batch).reshape(B, n_points)
     src = plan.sheared(flat)
-    dec_wf = np.empty((B, n_points), dtype=idt)
+    dec_wf = np.empty((B, n_points), dtype=idt) if keep_recon else None
     # Deferred code materialization: raw quantization offsets and the
     # predictable mask accumulate per plane; one vectorized epilogue
-    # turns them into codes (cheaper than per-plane int casts).
-    q_wf = np.empty((B, n_points), dtype=np.float64)
+    # turns them into codes (cheaper than per-plane int casts).  The
+    # offsets are computed in float64 scratch and stored as float32,
+    # exactly: a predictable offset is an integer with |q| < radius
+    # <= 2^15, and the wild ones sit at misses, which the epilogue
+    # zeroes before its cast.
+    q_wf = np.empty((B, n_points), dtype=np.float32)
     ok_wf_all = np.empty((B, n_points), dtype=bool)
     # Unpredictable originals per plane, member after member, and how
     # many each member contributed.
@@ -364,9 +390,9 @@ def _wavefront_compress(
     pred_s = np.empty(size, dtype=np.float64)
     tmp_s = np.empty(size, dtype=np.float64)
     diff_s = np.empty(size, dtype=np.float64)
+    q_s = np.empty(size, dtype=np.float64)
     mask_s = np.empty(size, dtype=bool)
     if plan.ndim > 2:  # band planes stage their results in the box
-        q_s = np.empty(size, dtype=np.float64)
         ok_s = np.empty(size, dtype=bool)
         rc_s = np.empty(size, dtype=idt)
     every = (slice(None),)  # the member axis leads every per-plane array
@@ -379,18 +405,17 @@ def _wavefront_compress(
             box, cells = every + box, every + cells
             if band is None:  # 2-D: the box is the plane
                 shape, m = (B, end - start), B * (end - start)
-                qoff = q_wf[:, start:end]
                 ok = ok_wf = ok_wf_all[:, start:end]
                 recon = own_box[box]
             else:
                 shape, m = (B, *band.shape), B * band.size
-                qoff = q_s[:m].reshape(shape)
                 ok = ok_s[:m].reshape(shape)
                 recon = rc_s[:m].reshape(shape)
                 # A mask of the stack's own shape, not the slower mixed
                 # index [:, band]; a batch of one takes the free view
                 # band[None] (broadcast_to costs ~6 us a plane).
                 stacked = band[None] if B == 1 else np.broadcast_to(band, shape)
+            qoff = q_s[:m].reshape(shape)
             pred = pred_s[:m].reshape(shape)
             diff = diff_s[:m].reshape(shape)
             err = tmp_s[:m].reshape(shape)
@@ -423,7 +448,9 @@ def _wavefront_compress(
             # |x - recon| <= eb also rejects non-finite x and recon.
             np.less_equal(err, ebs, out=bounded)
             np.logical_and(ok, bounded, out=ok)
-            if band is not None:
+            if band is None:
+                q_wf[:, start:end] = qoff
+            else:
                 q_wf[:, start:end] = qoff[stacked].reshape(B, -1)
                 ok_wf = ok_wf_all[:, start:end]
                 ok_wf[...] = ok[stacked].reshape(B, -1)
@@ -439,11 +466,12 @@ def _wavefront_compress(
                 recon[miss] = truncate_to_bound(
                     originals, eb if shared else np.repeat(eb_arr, counts)
                 )
-            if band is None:
-                dec_wf[:, start:end] = recon
-            else:
+            if band is not None:
                 np.copyto(own_box[box], recon, where=band)
-                dec_wf[:, start:end] = recon[stacked].reshape(B, -1)
+            if dec_wf is not None:
+                dec_wf[:, start:end] = (
+                    recon if band is None else recon[stacked].reshape(B, -1)
+                )
 
     codes, unpredictable = _materialize_codes(
         q_wf, ok_wf_all, unpred_chunks, unpred_counts, fradius, out_dtype
@@ -451,7 +479,8 @@ def _wavefront_compress(
     return [
         WavefrontResult(
             codes[b], unpredictable[b],
-            1.0 - unpredictable[b].size / max(1, n_points), dec_wf[b], plan,
+            1.0 - unpredictable[b].size / max(1, n_points),
+            None if dec_wf is None else dec_wf[b], plan,
         )
         for b in range(B)
     ]
@@ -603,7 +632,7 @@ def _check_unpred_count(n_miss: int, unpred_recon: np.ndarray) -> None:
 
 
 def _compress_1d(
-    data: np.ndarray, eb: float, n: int, radius: int
+    data: np.ndarray, eb: float, n: int, radius: int, keep_recon: bool
 ) -> WavefrontResult:
     """Sequential scalar kernel for 1-D arrays (singleton hyperplanes)."""
     out_dtype = data.dtype
@@ -640,9 +669,8 @@ def _compress_1d(
         )
     unpredictable = data[np.array(unpred_idx, dtype=np.int64)] if unpred_idx else np.zeros(0, dtype=out_dtype)
     hit_rate = 1.0 - len(unpred_idx) / max(1, N)
-    return WavefrontResult(
-        codes, unpredictable, hit_rate, dec[n:].astype(out_dtype), None
-    )
+    recon = dec[n:].astype(out_dtype) if keep_recon else None
+    return WavefrontResult(codes, unpredictable, hit_rate, recon, None)
 
 
 def _decompress_1d(

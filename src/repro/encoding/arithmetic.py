@@ -36,6 +36,20 @@ _MASK = (1 << 32) - 1
 _PROB_BITS = 12
 _PROB_ONE = 1 << _PROB_BITS
 _ADAPT = 5  # adaptation shift: smaller = faster adaptation
+_MAX_SYMBOLS_PER_BYTE = 1024
+"""Most symbols one byte of a stream can hold, with margin.
+
+Every symbol costs at least one adaptive decision (``max_bits >= 1``).
+An adaptive probability stays within ``[31, 4065] / 4096``: an update
+moves it by ``(4096 - p) >> 5`` or ``p >> 5``, which is 0 past those
+ends.  A decision therefore keeps at most ``4065/4096`` of the range,
+plus a truncation of at most 30 on a range that normalization keeps at
+or above ``2^16``: it narrows the range by at least 0.0102 bits.  Each
+output byte widens the range by 8 bits, and the range starts at
+``2^32``, so ``k`` bytes before the encoder's 4 flush bytes hold at
+most ``(8k + 16) / 0.0102`` decisions: under 785 per byte plus 1,569,
+which the flush bytes cover at 1,024 per byte.  Measured: 10^6 zero
+symbols take 1,369 bytes, 730 per byte."""
 
 
 class _Context:
@@ -177,7 +191,17 @@ def encode_symbols(symbols: np.ndarray, max_bits: int = 32) -> bytes:
 def decode_symbols(
     data: bytes | memoryview, count: int, max_bits: int = 32
 ) -> np.ndarray:
-    """Inverse of :func:`encode_symbols`."""
+    """Inverse of :func:`encode_symbols`.
+
+    A ``count`` that ``data`` cannot hold (:data:`_MAX_SYMBOLS_PER_BYTE`)
+    raises ``ValueError`` before the output is allocated, so a forged
+    symbol count fails promptly instead of asking for gigabytes.
+    """
+    if count > _MAX_SYMBOLS_PER_BYTE * len(data):
+        raise ValueError(
+            f"corrupt arithmetic payload: {count} symbols cannot fit in "
+            f"{len(data)} bytes"
+        )
     dec = ArithmeticDecoder(data)
     length_ctx = [_Context() for _ in range(max_bits + 1)]
     out = np.zeros(count, dtype=np.int64)

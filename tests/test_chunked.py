@@ -532,9 +532,9 @@ class TestBatchedTiles:
         seen = []
         real = compressor.wavefront_compress
 
-        def spy(data, eb, plan, radius):
+        def spy(data, eb, plan, radius, **kwargs):
             seen.append(data)
-            return real(data, eb, plan, radius)
+            return real(data, eb, plan, radius, **kwargs)
 
         monkeypatch.setattr(compressor, "wavefront_compress", spy)
         data = _field((30, 40))
@@ -548,9 +548,9 @@ def _count_passes(monkeypatch):
     passes = []
     real = compressor.wavefront_compress
 
-    def counting(data, eb, plan, radius):
+    def counting(data, eb, plan, radius, **kwargs):
         passes.append(data.shape)
-        return real(data, eb, plan, radius)
+        return real(data, eb, plan, radius, **kwargs)
 
     monkeypatch.setattr(compressor, "wavefront_compress", counting)
     return passes

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compress, compress_with_stats, decompress
+from repro.core.compressor import container_info
 from repro.core.lossless_post import inflate_exact, is_wrapped, unwrap, wrap
 from repro.encoding.arithmetic import (
     decode_symbols,
@@ -73,6 +74,39 @@ class TestArithmeticCoder:
     def test_too_wide_rejected(self):
         with pytest.raises(ValueError):
             encode_symbols(np.array([256]), max_bits=8)
+
+    def test_densest_stream_round_trips(self):
+        # 10^6 zero symbols take 1,369 bytes (730 per byte), the most a
+        # byte can hold; the decoder's symbols-per-byte check passes it.
+        symbols = np.zeros(10**6, dtype=np.int64)
+        data = encode_symbols(symbols, max_bits=10)
+        assert symbols.size / len(data) > 700
+        np.testing.assert_array_equal(
+            decode_symbols(data, symbols.size, 10), symbols
+        )
+
+    def test_count_beyond_the_bytes_rejected_before_allocating(self):
+        data = encode_symbols(np.zeros(100, dtype=np.int64), max_bits=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cannot fit"):
+                decode_symbols(data, 2**40, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_forged_shape_in_container_raises_value_error(self):
+        # Bit 148 sits in the header's shape: (16, 16, 16) reads as
+        # (16, 134217744, 16), whose 2^35 codes once reached np.zeros as
+        # a 256 GiB MemoryError.
+        data = np.random.default_rng(0).standard_normal((16, 16, 16))
+        blob = bytearray(compress(data.astype(np.float32), mode="abs",
+                                  bound=1e-2, entropy_coder="arithmetic"))
+        blob[18] ^= 0x08
+        assert container_info(bytes(blob))["shape"] == (16, 134217744, 16)
+        with pytest.raises(ValueError, match="cannot fit"):
+            decompress(bytes(blob))
 
     @given(st.integers(1, 2**31), st.integers(1, 12))
     @settings(max_examples=10)

@@ -85,3 +85,45 @@ class TestPointwiseBound:
         data = rng.standard_normal(200) * scale
         out = decompress(compress(data, mode="pw_rel", bound=rel))
         assert pointwise_rel_error(data, out).max() <= rel * 1.0000001
+
+
+class TestSideChannelLayout:
+    """``pw_encode_side`` writes each section directly; the bytes must be
+    those of :func:`repro.encoding.bitio.pack_varlen` at the section's
+    fixed width, so containers written before and after decode alike."""
+
+    @given(
+        n=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_sections_match_pack_varlen(self, n, seed, dtype):
+        from repro.core.bounds import (
+            PW_FLAG_RAW,
+            pw_decode_side,
+            pw_encode_side,
+        )
+        from repro.encoding.bitio import pack_varlen
+
+        rng = np.random.default_rng(seed)
+        flags = rng.integers(0, 3, n).astype(np.uint8)
+        signs = rng.random(n) < 0.5
+        data = rng.standard_normal(n).astype(dtype)
+        data[rng.random(n) < 0.2] = np.nan
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        raw = data.view(uint)[flags == PW_FLAG_RAW]
+        expected = b"".join(
+            pack_varlen(values, np.full(values.size, width))[0].tobytes()
+            for values, width in (
+                (flags, 2), (signs, 1), (raw, 8 * raw.itemsize),
+            )
+        )
+        payload = pw_encode_side(data, flags, signs)
+        assert payload == expected
+        got_flags, got_signs, got_raw = pw_decode_side(payload, n, dtype)
+        np.testing.assert_array_equal(got_flags, flags)
+        np.testing.assert_array_equal(got_signs, signs)
+        assert got_raw.dtype == dtype and got_raw.view(uint).tobytes() == raw.tobytes()
+        if payload:
+            with pytest.raises(EOFError):
+                pw_decode_side(payload[:-1], n, dtype)

@@ -9,7 +9,8 @@ The subsystem's contract has three legs, each pinned here:
   documented envelope (the full corpus runs in
   ``python -m repro.tuning.validation``; a trimmed sweep runs here);
 * **convergence** — the tuner lands within its tolerance of reachable
-  targets, because the ratio-vs-bound curve it searches is monotone.
+  targets, because the ratio-vs-bound curve it searches is monotone to
+  within :data:`MONOTONE_SLACK`, far inside the tuner's 5% tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ from repro.tuning.sampler import draw_sample
 from repro.tuning.validation import ENVELOPE
 
 SHAPE = (24, 32, 32)
+
+#: How far a looser bound may lower the sampled ratio estimate.  The
+#: estimate is not exactly monotone in the bound: over 4,000 log-spaced
+#: ``rel`` bounds from 1e-5 to 1e-1 on ``smooth3d`` (fraction 0.05,
+#: seed 0) it fell at most 0.65% below its value at a tighter bound
+#: (14.6112 at 0.0635259 to 14.5162 at 0.0639663); the worst falls per
+#: decade were 0.046%, 0.186%, 0.106% and 0.650%.  The tuner's default
+#: ``rtol`` is 5%.
+MONOTONE_SLACK = 0.01
 
 
 @pytest.fixture(scope="module")
@@ -238,13 +248,21 @@ class TestMonotonicity:
         )
     )
     def test_looser_bound_never_hurts_ratio(self, smooth3d, bounds):
-        """The curve the tuner bisection relies on: ratio(bound) is
-        non-decreasing in the bound (rel mode)."""
-        lo, hi = sorted(bounds)
+        """The curve the tuner bisection relies on: a looser bound never
+        lowers the estimated ratio by more than the slack (rel mode)."""
+        self._assert_within_slack(smooth3d, *sorted(bounds))
+
+    def test_recorded_dip_within_slack(self, smooth3d):
+        # The estimate falls here (13.830 to 13.793), while the real
+        # compression of the field does not.
+        self._assert_within_slack(smooth3d, 0.05, 0.05078125)
+
+    @staticmethod
+    def _assert_within_slack(data, lo, hi):
         cfg = SZConfig.from_kwargs(mode="rel", bound=lo)
-        a = estimate(smooth3d, cfg, fraction=0.05, seed=0)
-        b = estimate(smooth3d, cfg.replace(bound=hi), fraction=0.05, seed=0)
-        assert b.ratio >= a.ratio * (1 - 1e-9)
+        a = estimate(data, cfg, fraction=0.05, seed=0)
+        b = estimate(data, cfg.replace(bound=hi), fraction=0.05, seed=0)
+        assert b.ratio >= a.ratio * (1 - MONOTONE_SLACK), (lo, hi)
 
 
 class TestTuner:

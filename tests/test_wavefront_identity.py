@@ -11,7 +11,10 @@ axes, 1-wide slabs, singleton hyperplanes, NaN/Inf contamination,
 spike-forced unpredictables) and asserts code-for-code and byte-for-byte
 equality against :mod:`repro.core.reference`, for the one N-d kernel path
 (alone and as batches of same-shape members with their own bounds) and
-for the public ``compress``/``decompress`` pipeline.
+for the public ``compress``/``decompress`` pipeline.  Every kernel call
+also runs without its reconstruction (``keep_recon=False``, the
+compressor's ``abs``/``rel`` path), which must store the same codes and
+unpredictable values, byte for byte.
 
 The wavefront order the codes are checked in comes from
 :func:`strategies.wavefront_order`, never from the code under test.
@@ -51,10 +54,26 @@ def _codes_to_raster(codes_wf, shape):
     return out.reshape(shape)
 
 
+def _kernel(data, eb, plan, radius):
+    """The kernel's result(s), after checking that a run without the
+    reconstruction stores the same codes and unpredictable values."""
+    kept = wavefront_compress(data, eb, plan, radius)
+    bare = wavefront_compress(data, eb, plan, radius, keep_recon=False)
+    pairs = zip(kept, bare) if isinstance(kept, list) else [(kept, bare)]
+    for k, b in pairs:
+        for x, y in ((k.codes, b.codes), (k.unpredictable, b.unpredictable)):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
+        assert k.hit_rate == b.hit_rate
+        with pytest.raises(RuntimeError, match="keep_recon=False"):
+            b.decompressed
+    return kept
+
+
 def _assert_matches_reference(data, eb, layers, interval_bits):
     radius = interval_radius(interval_bits)
     plan = WavefrontPlan(data.shape, layers)
-    res = wavefront_compress(data, eb, plan, radius)
+    res = _kernel(data, eb, plan, radius)
     _assert_result_matches_reference(res, data, eb, plan, radius)
 
 
@@ -146,7 +165,7 @@ class TestBatchIdentity:
         radius = interval_radius(interval_bits)
         plan = WavefrontPlan(stack.shape[1:], layers)
         eb = bounds[0] if len(set(bounds)) == 1 else np.array(bounds)
-        results = wavefront_compress(stack, eb, plan, radius)
+        results = _kernel(stack, eb, plan, radius)
         assert len(results) == len(stack)
         for member, bound, res in zip(stack, bounds, results):
             _assert_result_matches_reference(res, member, bound, plan, radius)
@@ -189,10 +208,9 @@ class TestBatchIdentity:
         data = _spiked(shape)
         plan = WavefrontPlan(shape, 1)
         radius = interval_radius(8)
-        (stacked,) = wavefront_compress(data[None], np.array([1e-3]), plan,
-                                        radius)
+        (stacked,) = _kernel(data[None], np.array([1e-3]), plan, radius)
         _assert_result_matches_reference(stacked, data, 1e-3, plan, radius)
-        alone = wavefront_compress(data, np.array([1e-3]), plan, radius)
+        alone = _kernel(data, np.array([1e-3]), plan, radius)
         _assert_result_matches_reference(alone, data, 1e-3, plan, radius)
 
 
@@ -218,6 +236,20 @@ class TestSpikedPlanVariants:
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_matches_reference(self, shape):
         _assert_matches_reference(_spiked(shape), 1e-3, 1, 8)
+
+
+class TestWithoutReconstruction:
+    """A kernel run with ``keep_recon=False`` has no ``decompressed``;
+    asking for it names the flag instead of failing in a scatter."""
+
+    @pytest.mark.parametrize("shape", [(40,), (9, 7), (4, 5, 6)], ids=str)
+    def test_decompressed_raises(self, shape):
+        plan = WavefrontPlan(shape, 1)
+        res = wavefront_compress(_spiked(shape), 1e-3, plan,
+                                 interval_radius(8), keep_recon=False)
+        assert res.codes.size == int(np.prod(shape))
+        with pytest.raises(RuntimeError, match="keep_recon=False"):
+            res.decompressed
 
 
 class TestMovingAxis:
