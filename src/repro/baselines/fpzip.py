@@ -153,15 +153,6 @@ class FPZIPLike:
         # raster order safe: predictions only look backwards in every dim.
         return _lorenzo_unpredict(resid, shape, width, dtype, uint)
 
-    # container introspection helpers for tests
-    @staticmethod
-    def parse_shape(blob: bytes) -> tuple[int, ...]:
-        r = BitReader(blob)
-        r.read(32 + 8)
-        ndim = r.read(8)
-        r.read(8)
-        return tuple(r.read(48) for _ in range(ndim))
-
 
 def _lorenzo_predict_exact(data: np.ndarray) -> np.ndarray:
     """Lorenzo n=1 prediction from original values, cast to data dtype."""

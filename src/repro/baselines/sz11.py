@@ -116,7 +116,7 @@ class SZ11:
         )
         codec = HuffmanCodec.from_symbols(codes, 4)
         stream = codec.encode(codes, block_size=1 << 14)
-        unpred_payload, _ = encode_unpredictable(unpred, eb)
+        unpred_payload = encode_unpredictable(unpred, eb)
 
         w = BitWriter()
         w.write(_MAGIC, 32)

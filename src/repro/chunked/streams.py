@@ -188,10 +188,6 @@ class TiledWriter:
         """Resolved per-axis tile extents (mirrors ``TiledReader``)."""
         return self.grid.tile_shape
 
-    @property
-    def tiles_written(self) -> int:
-        return self._next_tile
-
     def slab_extent(self, row: int) -> tuple[int, int]:
         """Leading-axis ``[start, stop)`` covered by tile-row ``row``."""
         t0 = self.grid.tile_shape[0]
@@ -446,10 +442,7 @@ class TiledReader:
 
     def read_all(self) -> np.ndarray:
         """Decompress the full array (tile by tile, never the whole blob)."""
-        out = np.empty(self.shape, dtype=self.dtype)
-        for i in range(self.n_tiles):
-            out[self.grid.tile_slices(i)] = self.read_tile(i)
-        return out
+        return self.region(())
 
     def region(self, region) -> np.ndarray:
         """Decompress only the tiles intersecting ``region``.
@@ -492,20 +485,9 @@ class TiledReader:
         one tile-row of decompressed data is alive at a time.
         """
         t0 = self.grid.tile_shape[0]
-        inner = (
-            int(np.prod(self.grid.grid[1:], dtype=np.int64))
-            if len(self.grid.grid) > 1
-            else 1
-        )
-        for row in range(self.grid.grid[0]):
-            start = row * t0
+        for start in range(0, self.shape[0], t0):
             stop = min(start + t0, self.shape[0])
-            slab = np.empty((stop - start,) + self.shape[1:], dtype=self.dtype)
-            for j in range(inner):
-                i = row * inner + j
-                tsl = self.grid.tile_slices(i)
-                slab[(slice(0, stop - start),) + tsl[1:]] = self.read_tile(i)
-            yield (start, stop), slab
+            yield (start, stop), self.region((slice(start, stop),))
 
     # -- metadata ----------------------------------------------------------
 

@@ -29,7 +29,6 @@ True
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,11 +82,8 @@ __all__ = [
 ]
 
 _MAX_INTERVAL_BITS = 16
-_PLAN_CACHE: OrderedDict[tuple[tuple[int, ...], int], WavefrontPlan] = OrderedDict()
+#: Read only by the benchmark in ``perfbench/``; no plan is cached.
 _PLAN_CACHE_MAX = 32
-"""LRU bound: a long-lived tiled job cycling through many (tile shape,
-layers) pairs must not grow the cache without limit; evicting the least
-recently used plan keeps the hot interior-tile shape resident."""
 _PASS_VALUES_MAX = 1 << 22
 """Values one kernel pass may hold: a larger same-shape batch runs in
 several passes, so a pass's temporaries stay the size of one large
@@ -147,19 +143,6 @@ def _constant_ok(data: np.ndarray, mode: str) -> bool:
     return bool((bits == bits.flat[0]).all())
 
 
-def _get_plan(shape: tuple[int, ...], layers: int) -> WavefrontPlan:
-    key = (shape, layers)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = WavefrontPlan(shape, layers)
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-    else:
-        _PLAN_CACHE.move_to_end(key)
-    return plan
-
-
 def _emit_container(
     result: WavefrontResult,
     m: int,
@@ -185,7 +168,7 @@ def _emit_container(
     for diagnostics pass it in so the pass over the codes runs once.
     """
     with span("unpredictable", bytes=result.unpredictable.nbytes):
-        unpred_payload, _ = encode_unpredictable(result.unpredictable, eb)
+        unpred_payload = encode_unpredictable(result.unpredictable, eb)
     coder = get_entropy_coder(entropy_coder)
     with span("entropy", bytes=result.codes.nbytes):
         payload = coder.encode(
@@ -430,7 +413,7 @@ def _quantize_members(members: list[_Member], config: "SZConfig") -> None:
     """
     if not members:
         return
-    plan = _get_plan(members[0].data.shape, config.layers)
+    plan = WavefrontPlan(members[0].data.shape, config.layers)
     # The pw_rel repair and the psnr check read the reconstruction; an
     # abs/rel container holds only codes and unpredictable values.
     keep_recon = config.error_bound.mode in ("pw_rel", "psnr")
@@ -717,7 +700,7 @@ def _decompress_impl(blob: Any, out: Any = None) -> np.ndarray:
             unpred_recon = decode_unpredictable(
                 unpred_payload, header.unpred_count, header.eb_abs, inner_dtype
             )
-        plan = _get_plan(header.shape, header.layers)
+        plan = WavefrontPlan(header.shape, header.layers)
         radius = interval_radius(header.interval_bits)
         result = wavefront_decompress(
             codes, unpred_recon, plan, header.eb_abs, radius, inner_dtype

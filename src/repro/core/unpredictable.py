@@ -143,11 +143,11 @@ def truncate_to_bound(values: np.ndarray, eb: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_unpredictable(values: np.ndarray, eb: float) -> tuple[bytes, np.ndarray]:
-    """Encode unpredictable values; returns ``(payload, reconstructions)``.
+def encode_unpredictable(values: np.ndarray, eb: float) -> bytes:
+    """Encode unpredictable values into their payload.
 
-    ``reconstructions`` equals :func:`truncate_to_bound` of the input and
-    is bit-identical to what :func:`decode_unpredictable` will return.
+    :func:`decode_unpredictable` returns :func:`truncate_to_bound` of the
+    input, bit for bit.
     """
     values = np.ascontiguousarray(values)
     lo = _layout(values.dtype)
@@ -155,7 +155,7 @@ def encode_unpredictable(values: np.ndarray, eb: float) -> tuple[bytes, np.ndarr
         raise ValueError("error bound must be positive")
     n = values.size
     if n == 0:
-        return b"", values.copy()
+        return b""
     bits, sign, exp, mant, is_zero, is_normal, is_raw = _classify(values, eb, lo)
     flags = np.full(n, _FLAG_ZERO, dtype=np.uint64)
     flags[is_normal] = _FLAG_NORMAL
@@ -193,8 +193,7 @@ def encode_unpredictable(values: np.ndarray, eb: float) -> tuple[bytes, np.ndarr
         )
         sections.append(raw_buf)
 
-    payload = b"".join(s.tobytes() for s in sections)
-    return payload, truncate_to_bound(values, eb)
+    return b"".join(s.tobytes() for s in sections)
 
 
 def decode_unpredictable(

@@ -38,10 +38,11 @@ pins them byte-identical to the scalar reference:
   compress holds are the quantization offsets (computed in float64
   scratch, stored as float32, which holds every predictable offset
   exactly), the predictable mask and, only with ``keep_recon`` (the
-  default), the wavefront-order reconstruction.  The compressor turns
-  it off for ``abs``/``rel``, whose containers never read it, so their
-  whole-array buffers take 5 bytes per value instead of 13 for float32
-  data.
+  default), the reconstruction, written in raster order through the
+  same sheared view the decompressor writes its output through.  The
+  compressor turns it off for ``abs``/``rel``, whose containers never
+  read it, so their whole-array buffers take 5 bytes per value instead
+  of 13 for float32 data.
 * **a batch axis** — the compressor takes a stack of same-shape arrays
   on a leading axis and runs them in lockstep, one NumPy call per
   hyperplane for the whole stack.  No stencil arm reaches across that
@@ -86,15 +87,14 @@ class WavefrontResult:
     (:func:`repro.core.quantizer.interval_radius`), so every code fits,
     at a quarter of an int64's bytes from the kernel to the container.
 
-    ``decompressed`` — the exact array a decompressor will reconstruct —
-    exists only when the kernel ran with ``keep_recon=True`` (its
-    default): the ``pw_rel`` repair and the ``psnr`` check read it, the
-    plain ``abs``/``rel`` encode path does not, so the compressor runs
-    those without it.  It is scattered from wavefront to raster order on
-    first use.
+    ``decompressed`` — the exact array a decompressor will reconstruct,
+    in raster order — exists only when the kernel ran with
+    ``keep_recon=True`` (its default): the ``pw_rel`` repair and the
+    ``psnr`` check read it, the plain ``abs``/``rel`` encode path does
+    not, so the compressor runs those without it.
     """
 
-    __slots__ = ("codes", "unpredictable", "hit_rate", "_recon", "_plan")
+    __slots__ = ("codes", "unpredictable", "hit_rate", "_recon")
 
     def __init__(
         self,
@@ -102,13 +102,11 @@ class WavefrontResult:
         unpredictable: np.ndarray,
         hit_rate: float,
         recon: np.ndarray | None,
-        plan: WavefrontPlan | None,
     ) -> None:
         self.codes = codes
         self.unpredictable = unpredictable
         self.hit_rate = hit_rate
-        self._recon = recon  # in wavefront order while a plan is attached
-        self._plan = plan
+        self._recon = recon
 
     @property
     def decompressed(self) -> np.ndarray:
@@ -116,9 +114,6 @@ class WavefrontResult:
             raise RuntimeError(
                 "no reconstruction: the kernel ran with keep_recon=False"
             )
-        if self._plan is not None:
-            self._recon = self._plan.to_raster(self._recon)
-            self._plan = None
         return self._recon
 
 
@@ -136,7 +131,8 @@ class WavefrontPlan:
     Per plane ``s`` it keeps its range in wavefront order (``groups``),
     its bounding box over the free coordinates (``boxes``) and, in 3-D
     and up, which box cells are points (``bands``).  A plan depends only
-    on ``(shape, n)``; the compressor caches plans by that key.
+    on ``(shape, n)``; the compressor builds one per kernel pass and one
+    per decompress, and nothing caches it.
     """
 
     #: Kept only because the benchmark in ``perfbench/`` reads them; no
@@ -327,8 +323,8 @@ def wavefront_compress(
     """Run prediction + error-controlled quantization over ``data``.
 
     Returns codes and unpredictable originals in wavefront order, plus
-    (lazily) the exact array a decompressor will reconstruct.  With
-    ``keep_recon=False`` the kernel stores no reconstruction, which
+    the exact array a decompressor will reconstruct, in raster order.
+    With ``keep_recon=False`` the kernel stores no reconstruction, which
     saves one array of the input's size; the codes and unpredictable
     values are the same bytes, and ``decompressed`` raises.
 
@@ -364,7 +360,10 @@ def _wavefront_compress(
     n_points = prod(plan.shape)
     flat = np.ascontiguousarray(batch).reshape(B, n_points)
     src = plan.sheared(flat)
-    dec_wf = np.empty((B, n_points), dtype=idt) if keep_recon else None
+    # A kept reconstruction is written in raster order, as the
+    # decompressor writes its output.
+    dec = np.empty((B, n_points), dtype=idt) if keep_recon else None
+    dst = None if dec is None else plan.sheared(dec, writeable=True)
     # Deferred code materialization: raw quantization offsets and the
     # predictable mask accumulate per plane; one vectorized epilogue
     # turns them into codes (cheaper than per-plane int casts).  The
@@ -468,10 +467,11 @@ def _wavefront_compress(
                 )
             if band is not None:
                 np.copyto(own_box[box], recon, where=band)
-            if dec_wf is not None:
-                dec_wf[:, start:end] = (
-                    recon if band is None else recon[stacked].reshape(B, -1)
-                )
+            if dst is not None:
+                if band is None:
+                    dst[cells] = recon
+                else:
+                    np.copyto(dst[cells], recon, where=band)
 
     codes, unpredictable = _materialize_codes(
         q_wf, ok_wf_all, unpred_chunks, unpred_counts, fradius, out_dtype
@@ -480,7 +480,7 @@ def _wavefront_compress(
         WavefrontResult(
             codes[b], unpredictable[b],
             1.0 - unpredictable[b].size / max(1, n_points),
-            None if dec_wf is None else dec_wf[b], plan,
+            None if dec is None else dec[b].reshape(plan.shape),
         )
         for b in range(B)
     ]
@@ -670,7 +670,7 @@ def _compress_1d(
     unpredictable = data[np.array(unpred_idx, dtype=np.int64)] if unpred_idx else np.zeros(0, dtype=out_dtype)
     hit_rate = 1.0 - len(unpred_idx) / max(1, N)
     recon = dec[n:].astype(out_dtype) if keep_recon else None
-    return WavefrontResult(codes, unpredictable, hit_rate, recon, None)
+    return WavefrontResult(codes, unpredictable, hit_rate, recon)
 
 
 def _decompress_1d(

@@ -14,8 +14,10 @@ Two families live here:
 
 Bit order is MSB-first within the stream: the first bit written becomes the
 most significant bit of the first byte.  All vectorized routines agree with
-the scalar ones bit-for-bit (tested); the fast paths (`_pack_via_windows`,
-`_unpack_via_windows`) and the bit-plane reference paths produce
+the scalar ones bit-for-bit (tested).  ``pack_varlen`` and ``unpack_varlen``
+take one of two strategies by the widest field: 8-byte windows
+(`_pack_via_windows`, `_unpack_via_windows`) for fields of up to 57 bits,
+and the bit-plane reference paths for wider ones.  Both produce
 byte-identical streams, which the golden-blob fixtures pin end to end.
 """
 
@@ -341,14 +343,13 @@ def pack_varlen(
 
     Notes
     -----
-    Three byte-identical strategies, picked by the length profile: a
-    ``np.packbits`` bit matrix for uniform widths, an 8-byte-window
-    OR-scatter for mixed widths up to 57 bits (O(1) vectorized passes;
-    :func:`_pack_via_windows` into a fresh word buffer from bit 0 — the
-    same packer the Huffman encoder feeds chunk by chunk), and the
-    original one-pass-per-bit-position formulation
-    (:func:`_pack_varlen_bitplane`, the reference) for the rare mixed
-    streams containing 58–64-bit fields.
+    Two byte-identical strategies, picked by the widest field: an
+    8-byte-window OR-scatter when every field has at most 57 bits (O(1)
+    vectorized passes; :func:`_pack_via_windows` into a fresh word
+    buffer from bit 0 — the same packer the Huffman encoder feeds chunk
+    by chunk), and the original one-pass-per-bit-position formulation
+    (:func:`_pack_varlen_bitplane`, the reference) for streams with
+    58–64-bit fields, such as raw float64 words.
     """
     values = np.asarray(values).astype(np.uint64, copy=False)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -363,11 +364,6 @@ def pack_varlen(
     total = int(lengths.sum(dtype=np.int64))
     if max_len == 0:
         return np.zeros(0, dtype=np.uint8), 0
-    if min_len == max_len:
-        # Uniform width: one bit-matrix, no index juggling.
-        shifts = np.arange(max_len - 1, -1, -1, dtype=np.uint64)
-        bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-        return np.packbits(bits.ravel()), total
     if max_len <= _MAX_FIELD_BITS:
         out64 = np.zeros(_packed_words(total), dtype=np.uint64)
         _pack_via_windows(values.ravel(), lengths.ravel(), out64, 0, masked)
@@ -396,7 +392,7 @@ def _pack_via_windows(
     start: int,
     masked: bool = False,
 ) -> int:
-    """Mixed-width fast path: OR fields into a word buffer from bit ``start``.
+    """Fast path: OR fields of <= 57 bits into words from bit ``start``.
 
     ``out64`` holds the stream as native uint64 words, each standing for
     8 big-endian stream bytes (:func:`_words_to_bytes` turns it into
@@ -523,12 +519,12 @@ def _pack_varlen_bitplane(
     total: int,
     max_len: int,
 ) -> tuple[np.ndarray, int]:
-    """Reference mixed-width path: one vectorized pass per bit position.
+    """Reference path: one vectorized pass per bit position.
 
     Presorts by descending length so pass ``b`` touches a contiguous
     prefix (total work ~ ``sum(lengths)``, not ``max_len * n``).  Kept
     as the cross-checked reference for :func:`_pack_via_windows` and the
-    only path for mixed streams with 58–64-bit fields.
+    only path for streams with 58–64-bit fields.
     """
     order = np.argsort(-lengths, kind="stable")
     vals_p = values[order]
@@ -588,11 +584,6 @@ def unpack_varlen(
             f"need {total} bits at offset {bit_offset}, "
             f"buffer holds {buf_arr.size * 8}"
         )
-    if min_len == max_len:
-        bits = np.unpackbits(buf_arr)[bit_offset : bit_offset + total]
-        mat = bits.reshape(-1, max_len).astype(np.uint64)
-        shifts = np.arange(max_len - 1, -1, -1, dtype=np.uint64)
-        return (mat << shifts).sum(axis=1, dtype=np.uint64)
     if max_len <= _MAX_FIELD_BITS:
         return _unpack_via_windows(buf_arr, lengths, bit_offset, total)
     return _unpack_varlen_bitplane(buf_arr, lengths, bit_offset, total, max_len)
@@ -601,7 +592,7 @@ def unpack_varlen(
 def _unpack_via_windows(
     buf: np.ndarray, lengths: np.ndarray, bit_offset: int, total: int
 ) -> np.ndarray:
-    """Mixed-width fast path: gather one 8-byte window per value."""
+    """Fast path for fields of up to 57 bits: one 8-byte window per value."""
     lengths_flat = lengths.ravel()
     lengths_u = lengths_flat.astype(np.uint64)
     starts = np.full(lengths_flat.size, bit_offset, dtype=np.int64)
@@ -629,7 +620,7 @@ def _unpack_varlen_bitplane(
     total: int,
     max_len: int,
 ) -> np.ndarray:
-    """Reference mixed-width unpack: one pass per bit position."""
+    """Reference unpack: one pass per bit position."""
     bits = np.unpackbits(buf)[bit_offset : bit_offset + total]
     order = np.argsort(-lengths, kind="stable")
     lens_p = lengths[order]

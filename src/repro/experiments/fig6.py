@@ -10,8 +10,6 @@ once per data set; ISABELA rows show '-' after it fails, as in the paper
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datasets import load
 from repro.experiments.common import (
     LOSSY_ERROR_BOUNDS,
@@ -64,18 +62,3 @@ def run(
         "every column, ISABELA '-' where it fails"
     )
     return table
-
-
-def best_competitor_gap(table: Table, eb_label: str) -> float:
-    """SZ-1.4 CF divided by the best non-SZ-1.4 CF at one bound."""
-    sz = [
-        r[eb_label]
-        for r in table.rows
-        if r["compressor"] == "SZ-1.4" and r[eb_label]
-    ]
-    others = [
-        r[eb_label]
-        for r in table.rows
-        if r["compressor"] != "SZ-1.4" and r[eb_label]
-    ]
-    return float(np.mean(sz) / max(others)) if sz and others else float("nan")

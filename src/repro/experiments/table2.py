@@ -32,7 +32,7 @@ def hitting_rate_decompressed(data: np.ndarray, n: int, eb: float) -> float:
     # radius=1 keeps only the center interval: a "hit" means the
     # prediction itself lands within eb, exactly the paper's definition.
     plan = WavefrontPlan(data.shape, n)
-    result = wavefront_compress(data, eb, plan, radius=1)
+    result = wavefront_compress(data, eb, plan, radius=1, keep_recon=False)
     return result.hit_rate
 
 

@@ -242,28 +242,30 @@ def _measure_assembled(
     pays at its zero-padded faces, and bounded by ``eb`` either way
     (a missed prediction just lands in the unpredictable store).
     """
-    from repro.core.compressor import _get_plan
-    from repro.core.wavefront import WavefrontResult, wavefront_compress
+    from repro.core.wavefront import (
+        WavefrontPlan,
+        WavefrontResult,
+        wavefront_compress,
+    )
 
     radius = interval_radius(config.interval_bits)
+    plan = WavefrontPlan(block.shape, config.layers)
     side = b""
     if mode == "pw_rel":
         logs, flags, signs = pw_precondition(block)
-        plan = _get_plan(logs.shape, config.layers)
         result = wavefront_compress(logs, eb, plan, radius)
         assert isinstance(result, WavefrontResult)  # one array, one result
         pw_apply_repairs(block, result.decompressed, flags, signs, bound)
         side = pw_encode_side(block, flags, signs)
         recon = pw_postcondition(result.decompressed, side, block.dtype)
     else:
-        plan = _get_plan(block.shape, config.layers)
         result = wavefront_compress(block, eb, plan, radius)
         assert isinstance(result, WavefrontResult)
         recon = result.decompressed
 
     # The kernel emits codes in wavefront order; regions slice rasters.
     codes = plan.to_raster(result.codes)
-    unpred_payload, _ = encode_unpredictable(result.unpredictable, eb)
+    unpred_payload = encode_unpredictable(result.unpredictable, eb)
     n_unpred_total = int(result.unpredictable.size)
     a = block.astype(np.float64)
     b = recon.astype(np.float64)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compress, compress_with_stats, decompress
-from repro.core.compressor import _PLAN_CACHE, _get_plan
 from repro.encoding.huffman import HuffmanCodec
 
 
@@ -36,20 +35,6 @@ class TestHuffmanAccounting:
             codec = HuffmanCodec.from_symbols(symbols, 256)
             sizes.append(codec.encode(symbols).total_bits)
         assert sizes[0] < sizes[1] < sizes[2]
-
-
-class TestPlanCache:
-    def test_cache_hit_and_eviction(self):
-        _PLAN_CACHE.clear()
-        p1 = _get_plan((10, 10), 1)
-        assert _get_plan((10, 10), 1) is p1  # cache hit
-        assert _get_plan((10, 10), 2) is not p1  # layers key matters
-        for i in range(40):  # force eviction sweep
-            _get_plan((5, 5 + i), 1)
-        assert len(_PLAN_CACHE) <= 34
-        # still correct after eviction
-        out = decompress(compress(np.ones((10, 10)) * 3, mode="abs", bound=0.1))
-        np.testing.assert_allclose(out, 3.0)
 
 
 class TestAdaptiveCap:
