@@ -15,10 +15,10 @@ Two families live here:
 Bit order is MSB-first within the stream: the first bit written becomes the
 most significant bit of the first byte.  All vectorized routines agree with
 the scalar ones bit-for-bit (tested).  ``pack_varlen`` and ``unpack_varlen``
-take one of two strategies by the widest field: 8-byte windows
-(`_pack_via_windows`, `_unpack_via_windows`) for fields of up to 57 bits,
-and the bit-plane reference paths for wider ones.  Both produce
-byte-identical streams, which the golden-blob fixtures pin end to end.
+place every field through 8-byte windows (`_pack_via_windows`,
+`_unpack_via_windows`), ``_PACK_FIELDS`` fields at a time; a field wider
+than 57 bits travels as two narrower ones whose bits concatenate to it.
+The golden-blob fixtures pin the streams end to end.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ __all__ = [
 
 _MAX_FIELD_BITS = 57
 """Widest field ``read_bits_at`` can extract (8-byte window minus 7-bit skew)."""
+
+_SPLIT_BITS = 32
+"""When a field list holds fields wider than ``_MAX_FIELD_BITS``, each
+field wider than this goes through the window paths as an
+``(l - 32)``-bit high field and a 32-bit low field."""
+
+_PACK_FIELDS = 1 << 16
+"""Fields ``pack_varlen``/``unpack_varlen`` place per step: the window
+paths' uint64 temporaries scale with this, not with the field count."""
 
 
 class BitWriter:
@@ -278,6 +287,12 @@ def bytes_to_bits(buf: bytes | np.ndarray, nbits: int | None = None) -> np.ndarr
     return bits
 
 
+def _window_view(padded: np.ndarray) -> np.ndarray:
+    """Zero-copy big-endian uint64 view of the 8 bytes at every offset
+    of ``padded`` (whose last 7 bytes start no window)."""
+    return np.lib.stride_tricks.sliding_window_view(padded, 8).view(">u8").reshape(-1)
+
+
 def byte_windows64(buf: bytes | np.ndarray) -> np.ndarray:
     """Big-endian 8-byte windows at every byte offset of ``buf``.
 
@@ -292,9 +307,8 @@ def byte_windows64(buf: bytes | np.ndarray) -> np.ndarray:
     if buf.dtype != np.uint8:
         buf = buf.astype(np.uint8)
     padded = np.concatenate([buf.ravel(), np.zeros(8, dtype=np.uint8)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 8)[: buf.size + 1, ::-1]
-    # Reversed bytes read as little-endian words: one 8x copy on LE hosts.
-    return windows.copy().view("<u8").ravel().astype(np.uint64, copy=False)
+    # The byte-swapping cast is the only pass that writes the 8x output.
+    return _window_view(padded).astype(np.uint64)
 
 
 def gather_windows64(padded: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -304,16 +318,12 @@ def gather_windows64(padded: np.ndarray, starts: np.ndarray) -> np.ndarray:
     large to window wholesale: ``padded`` must carry at least 8 trailing
     zero bytes (so every in-range start reads a full window), and each
     ``starts[i]`` yields the uint64 holding bytes
-    ``padded[starts[i] : starts[i] + 8]``.  Eight gathers instead of one
-    8x-RAM materialization — the Huffman decoder's fallback for
-    multi-hundred-MB payloads.
+    ``padded[starts[i] : starts[i] + 8]``.  One gather through a
+    zero-copy window view instead of one 8x-RAM materialization — the
+    Huffman decoder's fallback for multi-hundred-MB payloads.
     """
-    windows = np.zeros(starts.size, dtype=np.uint64)
-    for i in range(8):
-        windows = (windows << np.uint64(8)) | padded[starts + i].astype(
-            np.uint64
-        )
-    return windows
+    windows: np.ndarray = _window_view(padded)[starts]
+    return windows.astype(np.uint64)
 
 
 def pack_varlen(
@@ -343,18 +353,20 @@ def pack_varlen(
 
     Notes
     -----
-    Two byte-identical strategies, picked by the widest field: an
-    8-byte-window OR-scatter when every field has at most 57 bits (O(1)
-    vectorized passes; :func:`_pack_via_windows` into a fresh word
-    buffer from bit 0 — the same packer the Huffman encoder feeds chunk
-    by chunk), and the original one-pass-per-bit-position formulation
-    (:func:`_pack_varlen_bitplane`, the reference) for streams with
-    58–64-bit fields, such as raw float64 words.
+    Every field goes through :func:`_pack_via_windows`, the
+    8-byte-window OR-scatter the Huffman encoder also feeds chunk by
+    chunk: :data:`_PACK_FIELDS` fields per call into one word buffer,
+    carrying the bit offset, so its uint64 temporaries stay bounded.
+    When some field is wider than a window's 57 bits (raw float64
+    words), every field wider than 32 bits goes in as its high
+    ``l - 32`` bits and then its low 32, which concatenate to the same
+    bits.
     """
     values = np.asarray(values).astype(np.uint64, copy=False)
     lengths = np.asarray(lengths, dtype=np.int64)
     if values.shape != lengths.shape:
         raise ValueError("values and lengths must have identical shapes")
+    values, lengths = values.ravel(), lengths.ravel()
     if values.size == 0:
         return np.zeros(0, dtype=np.uint8), 0
     min_len = int(lengths.min())
@@ -364,11 +376,37 @@ def pack_varlen(
     total = int(lengths.sum(dtype=np.int64))
     if max_len == 0:
         return np.zeros(0, dtype=np.uint8), 0
-    if max_len <= _MAX_FIELD_BITS:
-        out64 = np.zeros(_packed_words(total), dtype=np.uint64)
-        _pack_via_windows(values.ravel(), lengths.ravel(), out64, 0, masked)
-        return _words_to_bytes(out64, total), total
-    return _pack_varlen_bitplane(values, lengths, total, max_len)
+    out64 = np.zeros(_packed_words(total), dtype=np.uint64)
+    bit = 0
+    for lo in range(0, values.size, _PACK_FIELDS):
+        vals = values[lo : lo + _PACK_FIELDS]
+        lens = lengths[lo : lo + _PACK_FIELDS]
+        if max_len > _MAX_FIELD_BITS:
+            lens, slot, wide = _split_wide(lens)
+            halves = np.empty(lens.size, dtype=np.uint64)
+            halves[slot] = np.where(wide, vals >> np.uint64(_SPLIT_BITS), vals)
+            halves[slot[wide] + 1] = vals[wide] & np.uint64(0xFFFFFFFF)
+            vals = halves
+        bit = _pack_via_windows(vals, lens, out64, bit, masked)
+    return _words_to_bytes(out64, total), total
+
+
+def _split_wide(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Field widths with every field wider than :data:`_SPLIT_BITS` split
+    into an ``(l - 32)``-bit high and a 32-bit low field.
+
+    Returns the split widths, each field's (high) slot among them and
+    the mask of split fields; a split field's low half sits in the slot
+    after its high one.
+    """
+    wide = lengths > _SPLIT_BITS
+    slot = np.arange(lengths.size, dtype=np.int64)
+    slot += np.cumsum(wide, dtype=np.int64) - wide
+    split = np.full(
+        lengths.size + int(np.count_nonzero(wide)), _SPLIT_BITS, dtype=np.int64
+    )
+    split[slot] = np.where(wide, lengths - _SPLIT_BITS, lengths)
+    return split, slot, wide
 
 
 def _packed_words(total_bits: int) -> int:
@@ -513,39 +551,6 @@ def _fold_pairs(
     return new_vals, new_lens
 
 
-def _pack_varlen_bitplane(
-    values: np.ndarray,
-    lengths: np.ndarray,
-    total: int,
-    max_len: int,
-) -> tuple[np.ndarray, int]:
-    """Reference path: one vectorized pass per bit position.
-
-    Presorts by descending length so pass ``b`` touches a contiguous
-    prefix (total work ~ ``sum(lengths)``, not ``max_len * n``).  Kept
-    as the cross-checked reference for :func:`_pack_via_windows` and the
-    only path for streams with 58–64-bit fields.
-    """
-    order = np.argsort(-lengths, kind="stable")
-    vals_p = values[order]
-    lens_p = lengths[order]
-    starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)[:-1]))
-    starts_p = starts[order]
-    hist = np.bincount(lengths, minlength=max_len + 1)
-    # active[b] = count(len > b)
-    active = lengths.size - np.cumsum(hist, dtype=np.int64)
-    bits = np.zeros(total, dtype=np.uint8)
-    for b in range(max_len):
-        k = int(active[b])
-        if k == 0:
-            break
-        shift = (lens_p[:k] - 1 - b).astype(np.uint64)
-        bits[starts_p[:k] + b] = (
-            (vals_p[:k] >> shift) & np.uint64(1)
-        ).astype(np.uint8)
-    return np.packbits(bits), total
-
-
 def unpack_varlen(
     buf: bytes | np.ndarray, lengths: np.ndarray, bit_offset: int = 0
 ) -> np.ndarray:
@@ -584,59 +589,49 @@ def unpack_varlen(
             f"need {total} bits at offset {bit_offset}, "
             f"buffer holds {buf_arr.size * 8}"
         )
-    if max_len <= _MAX_FIELD_BITS:
-        return _unpack_via_windows(buf_arr, lengths, bit_offset, total)
-    return _unpack_varlen_bitplane(buf_arr, lengths, bit_offset, total, max_len)
+    # Only the packed region's bytes, zero padded so every field's
+    # window is whole.
+    first = bit_offset >> 3
+    stop = (bit_offset + total + 7) >> 3
+    padded = np.zeros(stop - first + 8, dtype=np.uint8)
+    padded[: stop - first] = buf_arr[first:stop]
+    view = _window_view(padded)
+    bit = bit_offset - 8 * first
+    flat = lengths.ravel()
+    out = np.empty(flat.size, dtype=np.uint64)
+    for lo in range(0, flat.size, _PACK_FIELDS):
+        lens = flat[lo : lo + _PACK_FIELDS]
+        if max_len > _MAX_FIELD_BITS:
+            split, slot, wide = _split_wide(lens)
+            halves = _unpack_via_windows(view, split, bit)
+            vals = halves[slot]
+            vals[wide] = (vals[wide] << np.uint64(_SPLIT_BITS)) | halves[
+                slot[wide] + 1
+            ]
+            out[lo : lo + lens.size] = vals
+        else:
+            out[lo : lo + lens.size] = _unpack_via_windows(view, lens, bit)
+        bit += int(lens.sum(dtype=np.int64))
+    return out.reshape(lengths.shape)
 
 
 def _unpack_via_windows(
-    buf: np.ndarray, lengths: np.ndarray, bit_offset: int, total: int
+    view: np.ndarray, lengths: np.ndarray, bit_offset: int
 ) -> np.ndarray:
-    """Fast path for fields of up to 57 bits: one 8-byte window per value."""
-    lengths_flat = lengths.ravel()
-    lengths_u = lengths_flat.astype(np.uint64)
-    starts = np.full(lengths_flat.size, bit_offset, dtype=np.int64)
-    np.cumsum(lengths_flat[:-1], out=starts[1:])
+    """Fields of up to 57 bits from ``bit_offset`` on: one 8-byte window
+    per field, gathered from :func:`_window_view`'s ``view``."""
+    lengths_u = lengths.astype(np.uint64)
+    starts = np.full(lengths.size, bit_offset, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
     starts[1:] += bit_offset
-    byte0 = starts >> 3
-    padded = np.concatenate([buf, np.zeros(8, dtype=np.uint8)])
-    window = np.zeros(lengths_flat.size, dtype=np.uint64)
-    for i in range(8):
-        window = (window << np.uint64(8)) | padded[byte0 + i].astype(np.uint64)
+    window = view[starts >> 3].astype(np.uint64)
     skew = (starts & 7).astype(np.uint64)
     mask = np.where(
         lengths_u > 0,
         (np.uint64(1) << lengths_u) - np.uint64(1),
         np.uint64(0),
     )
-    values = (window >> (np.uint64(64) - lengths_u - skew)) & mask
-    return values.reshape(lengths.shape)
-
-
-def _unpack_varlen_bitplane(
-    buf: np.ndarray,
-    lengths: np.ndarray,
-    bit_offset: int,
-    total: int,
-    max_len: int,
-) -> np.ndarray:
-    """Reference unpack: one pass per bit position."""
-    bits = np.unpackbits(buf)[bit_offset : bit_offset + total]
-    order = np.argsort(-lengths, kind="stable")
-    lens_p = lengths[order]
-    starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)[:-1]))
-    starts_p = starts[order]
-    hist = np.bincount(lengths, minlength=max_len + 1)
-    active = lengths.size - np.cumsum(hist, dtype=np.int64)
-    vals_p = np.zeros(lengths.size, dtype=np.uint64)
-    for b in range(max_len):
-        k = int(active[b])
-        if k == 0:
-            break
-        shift = (lens_p[:k] - 1 - b).astype(np.uint64)
-        vals_p[:k] |= bits[starts_p[:k] + b].astype(np.uint64) << shift
-    values = np.zeros(lengths.shape, dtype=np.uint64)
-    values[order] = vals_p
+    values: np.ndarray = (window >> (np.uint64(64) - lengths_u - skew)) & mask
     return values
 
 

@@ -12,12 +12,19 @@ alphabet size.  This module does the same for the reproduction:
 * a fully vectorized encoder built on :func:`repro.encoding.bitio.pack_varlen`;
 * a *block-parallel* vectorized decoder: the symbol stream is chunked at
   encode time, per-chunk bit lengths are recorded, and decoding advances
-  all chunks in lockstep — one table lookup round decodes one symbol per
-  chunk.  A scalar reference decoder is kept for verification.
+  all chunks (lanes) in lockstep.  A scalar reference decoder is kept for
+  verification.
 
-Codes of up to 16 bits decode through a fused multi-symbol table 16 bits
-wide; longer ones through a two-level table (13-bit primary prefix table
-+ per-prefix subtables), which keeps memory bounded up to 32-bit codes.
+One decoder serves every code.  Its table maps each 16-bit window to the
+row of whole codewords it holds (up to ``min(8, 16 // shortest code)``
+symbols), their count and their cumulative bits.  A round gathers one
+64-bit window per lane and chains three lookups off it; each lookup
+stores its whole row at the lane's output cursor, which then advances by
+the row's count, so the next store overwrites the unused tail.  A window
+whose first code is longer than 16 bits escapes to a two-level table
+(13-bit primary prefix table + per-prefix subtables), which keeps memory
+bounded up to 32-bit codes.  The last few symbols of every lane decode
+in clamped rounds that store exactly what is left.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,17 +62,14 @@ _WINDOW_MATERIALIZE_LIMIT = 64 << 20
 window array (8x payload RAM, ~3x faster rounds); larger ones gather
 windows per round to keep peak memory bounded."""
 
-_FUSED_BITS = 16
-"""Window width of the fused multi-symbol table, which decodes every
-code of up to this many bits: each window lookup emits every whole
-codeword inside the 16-bit window (up to ``_MULTI_MAX_SYMS``), and
-chained lookups reuse one gathered 64-bit window, collapsing the
-per-symbol round loop by the symbols-per-round factor.  Longer codes
-decode through the two-level table."""
+_ROW_BITS = 16
+"""Window width of the row table: each lookup decodes every whole
+codeword inside a 16-bit window (up to ``_ROW_SYMS``).  A window whose
+first code is longer escapes to the two-level table."""
 
-_MULTI_MAX_SYMS = 8
-"""Cap on packed symbols per fused-table entry — bounds the table at
-``2^16 * (4 * (1 + k) + k)`` bytes (2.9 MB at k = 8)."""
+_ROW_SYMS = 8
+"""Cap on the symbols of one row, which bounds the table at
+``2^16 * (3 * k + 1)`` bytes for uint16 symbols (1.6 MB at k = 8)."""
 
 _SAFE_WINDOW_BITS = 57
 """Usable bits of a gathered 8-byte window: the byte-aligned gather is
@@ -72,15 +77,13 @@ shifted left by the cursor's bit skew (up to 7), zero-filling the low
 bits, so only ``64 - 7`` leading bits are guaranteed real.  Chained
 lookups must stay inside this budget."""
 
+_CHAIN = _SAFE_WINDOW_BITS // _ROW_BITS
+"""Row lookups a fast round chains off one gathered window (3)."""
+
 _PACK_CHUNK = 1 << 20
 """Symbols the encoder gathers and packs per step.  The packer's uint64
 temporaries (fold rounds, window positions) scale with this, not with
 the stream, so a whole-array encode holds no 8-byte-per-symbol array."""
-
-_STAGE_ELEMS = 1 << 20
-"""Target element count (≈4 MB of int32) for the staged-emission
-buffer of the fast decode rounds; bounds memory for huge block counts
-while keeping flushes rare for typical ones."""
 
 
 def huffman_code_lengths(
@@ -197,30 +200,9 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _MultiTables:
-    """Fused multi-symbol decode table (``max_len <= _FUSED_BITS``).
-
-    For every 16-bit window value one row of ``fused`` packs the
-    whole decode step: column 0 holds ``(total_bits << 8) | count``
-    (count = whole codewords in the window, total_bits = their summed
-    lengths, both 0 for invalid windows) and columns ``1..k`` the
-    decoded symbols.  Packing metadata and symbols into one
-    row-contiguous array means each lookup touches a single cache line
-    instead of gathering three separate tables — the dominant cost of a
-    decode round.  ``57 // 16`` successive lookups share one gathered
-    64-bit window (each offset by the previous total) without touching
-    the payload again.  ``cumbits`` (cumulative bits after each packed
-    codeword) serves the clamped single-lookup rounds near block ends.
-    """
-
-    k: int
-    fused: np.ndarray  # int32 (2^16, 1 + k), [(totbits << 8) | count, syms...]
-    cumbits: np.ndarray  # uint8 (2^16, k) cumulative bits consumed
-
-
-@dataclass(frozen=True)
 class _TwoLevelTables:
-    """Primary prefix table + per-prefix subtables (codes of 17-32 bits).
+    """Primary prefix table + per-prefix subtables: the escape for
+    windows whose first code is longer than ``_ROW_BITS``.
 
     A primary entry resolves a codeword of at most ``_PRIMARY_BITS`` bits
     or, when negative, names the ``secondary`` chunk that the next
@@ -233,7 +215,26 @@ class _TwoLevelTables:
     sub_depth: int
 
 
-_DecodeTables = _MultiTables | _TwoLevelTables
+@dataclass(frozen=True)
+class _DecodeTables:
+    """The row table of one code, and its escape.
+
+    Indexed by a 16-bit window, row ``syms[w]`` holds the whole
+    codewords that begin the window, up to ``k`` of them, in the decoded
+    symbol dtype; slots past ``count[w]`` hold symbols that a later
+    store overwrites.  ``cumbits[j, w]`` is the bits the first ``j + 1``
+    of them take, so ``cumbits[k - 1]`` is the row's total.  A window
+    whose first code is longer than 16 bits, or that no code begins (a
+    Kraft deficit), has count 0 and total 0.  The decoder sends it to
+    ``escape``, the two-level table, which is ``None`` when every code
+    fits 16 bits: such a window is then a corrupt stream.
+    """
+
+    k: int
+    syms: np.ndarray  # symbol dtype (2^16, k)
+    count: np.ndarray  # uint8 (2^16,)
+    cumbits: np.ndarray  # uint8 (k, 2^16)
+    escape: _TwoLevelTables | None
 
 
 def _sorted_present(
@@ -250,54 +251,53 @@ def _sorted_present(
     return order, lengths[order]
 
 
-def _build_multi_tables(lengths: np.ndarray) -> _MultiTables:
-    size = 1 << _FUSED_BITS
-    sym1 = np.zeros(size, dtype=np.int32)
-    len1 = np.zeros(size, dtype=np.uint8)
+def _symbol_dtype(alphabet_size: int) -> np.dtype:
+    """The narrowest of uint16/uint32 holding every symbol."""
+    if alphabet_size <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
+
+
+def _build_row_tables(lengths: np.ndarray, max_len: int) -> _DecodeTables:
+    size = 1 << _ROW_BITS
     order, lens_sorted = _sorted_present(lengths)
-    if order.size:
-        # Canonical tiling: symbol i (in canonical order) owns the
-        # contiguous 2^(16 - len) slots starting at code << (16 - len);
-        # any Kraft deficit leaves an invalid (length 0) tail.
-        reps = (1 << (_FUSED_BITS - lens_sorted)).astype(np.int64)
-        total = int(reps.sum(dtype=np.int64))
-        sym1[:total] = np.repeat(order.astype(np.int32), reps)
-        len1[:total] = np.repeat(lens_sorted.astype(np.uint8), reps)
-    min_len = int(lens_sorted[0]) if order.size else 1
-    k = max(1, min(_MULTI_MAX_SYMS, _FUSED_BITS // max(min_len, 1)))
-    fused = np.zeros((size, 1 + k), dtype=np.int32)
-    cumbits = np.zeros((size, k), dtype=np.uint8)
-    fused[:, 1] = sym1
-    cumbits[:, 0] = len1
-    valid = len1 > 0
-    counts = valid.astype(np.int64)
-    cum = len1.astype(np.int64)
+    short = lens_sorted <= _ROW_BITS
+    # Canonical tiling: short symbol i (in canonical order) owns the
+    # contiguous 2^(16 - len) windows starting at code << (16 - len);
+    # the long codes and any Kraft deficit leave the tail to no code.
+    reps = 1 << (_ROW_BITS - lens_sorted[short])
+    total = int(reps.sum(dtype=np.int64))
+    dtype = _symbol_dtype(lengths.size)
+    sym1 = np.zeros(size, dtype=dtype)
+    sym1[:total] = np.repeat(order[short], reps)
+    len1 = np.zeros(size, dtype=np.int64)
+    len1[:total] = np.repeat(lens_sorted[short], reps)
+    # A window no code begins reads as a code too long to fit.
+    fit = np.where(len1 > 0, len1, _ROW_BITS + 1)
+    min_len = int(lens_sorted[0]) if order.size else _ROW_BITS
+    k = max(1, min(_ROW_SYMS, _ROW_BITS // min_len))
+    syms = np.empty((size, k), dtype=dtype)
+    cumbits = np.empty((k, size), dtype=np.uint8)
+    count = (len1 > 0).astype(np.uint8)
+    syms[:, 0] = sym1
+    cum = len1
+    cumbits[0] = cum
     idx = np.arange(size, dtype=np.int64)
-    mask = size - 1
     for j in range(1, k):
-        # After consuming ``cum`` bits the remaining window tail (zero
-        # filled below bit 0) indexes the next codeword.  The prefix
-        # property makes the zero fill safe: any entry whose length fits
-        # the real bits decodes identically for every fill.
-        nxt = (idx << cum) & mask
-        ln = len1[nxt].astype(np.int64)
-        ok = valid & (ln > 0) & (cum + ln <= _FUSED_BITS)
-        fused[:, 1 + j] = np.where(ok, sym1[nxt], 0)
-        cum = np.where(ok, cum + ln, cum)
-        cumbits[:, j] = cum
-        counts += ok.astype(np.int64)
-        valid = ok
-        if not ok.any():
-            break
-    # Metadata word: total bits consumed by a full lookup (cumbits of
-    # the last packed codeword) and the codeword count; exactly 0 for
-    # invalid windows (no codeword resolves), so a chained cursor
-    # stalls there and the stall is detectable.
-    totbits = cumbits[np.arange(size), np.maximum(counts, 1) - 1].astype(
-        np.int64
-    ) * (counts > 0)
-    fused[:, 0] = ((totbits << 8) | counts).astype(np.int32)
-    return _MultiTables(k, fused, cumbits)
+        # After ``cum`` bits the window's tail (zero filled below bit 0)
+        # indexes the next codeword, which counts only if it fits the
+        # real bits: the prefix property makes the zero fill safe.  A
+        # row that stops stays stopped, since ``cum`` no longer moves
+        # and the same window fails again.
+        nxt = (idx << cum) & (size - 1)
+        reach = cum + fit[nxt]
+        ok = reach <= _ROW_BITS
+        syms[:, j] = sym1[nxt]
+        np.copyto(cum, reach, where=ok)
+        cumbits[j] = cum
+        count += ok
+    escape = _build_two_level_tables(lengths) if max_len > _ROW_BITS else None
+    return _DecodeTables(k, syms, count, cumbits, escape)
 
 
 def _build_two_level_tables(lengths: np.ndarray) -> _TwoLevelTables:
@@ -341,20 +341,20 @@ per tile, and re-reading the same container (repeated region queries,
 a second full decode) re-parses the same length tables — the tables
 (the expensive part) are reusable.  Keyed by the canonical lengths
 array's bytes alone.  Evicts on slot count *and* total table bytes: a
-fused table is at most 2.9 MB, but two-level tables may take this
-whole budget (their builder refuses more), so slots alone would not
-bound memory.  The slot count must comfortably exceed a typical
-container's distinct-table count: cyclic tile order over an LRU
-smaller than the working set evicts every entry just before its next
-use (0% hit rate at N tables > N slots), so small tile tables should
-be bounded by bytes, not slots."""
+row table is at most 1.6 MB (2.7 MB for uint32 symbols), but a
+two-level escape may take this whole budget (its builder refuses
+more), so slots alone would not bound memory.  The slot count must
+comfortably exceed a typical container's distinct-table count: cyclic
+tile order over an LRU smaller than the working set evicts every entry
+just before its next use (0% hit rate at N tables > N slots), so small
+tile tables should be bounded by bytes, not slots."""
 
 
 def _tables_nbytes(tables: _DecodeTables) -> int:
-    if isinstance(tables, _MultiTables):
-        arrays = (tables.fused, tables.cumbits)
-    else:
-        arrays = (tables.primary, tables.secondary, tables.sub_base)
+    arrays = [tables.syms, tables.count, tables.cumbits]
+    if tables.escape is not None:
+        esc = tables.escape
+        arrays += [esc.primary, esc.secondary, esc.sub_base]
     return sum(int(a.nbytes) for a in arrays)
 
 
@@ -371,11 +371,7 @@ def _decode_tables_for(lengths: np.ndarray, max_len: int) -> _DecodeTables:
         return hit
     if collector is not None:
         collector.add("huffman/table_cache_misses")
-    tables: _DecodeTables
-    if max_len <= _FUSED_BITS:
-        tables = _build_multi_tables(lengths)
-    else:
-        tables = _build_two_level_tables(lengths)
+    tables = _build_row_tables(lengths, max_len)
     with _TABLE_CACHE_LOCK:
         _TABLE_CACHE[key] = tables
         total = sum(_tables_nbytes(t) for t in _TABLE_CACHE.values())
@@ -386,6 +382,184 @@ def _decode_tables_for(lengths: np.ndarray, max_len: int) -> _DecodeTables:
             _, evicted = _TABLE_CACHE.popitem(last=False)
             total -= _tables_nbytes(evicted)
     return tables
+
+
+def _window_gatherer(payload: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``gather(pos)``: for each bit position, the stream bits from
+    there left-aligned in a uint64, of which at least
+    ``_SAFE_WINDOW_BITS`` are real (zero filled past the payload).
+
+    Payloads up to ``_WINDOW_MATERIALIZE_LIMIT`` bytes gather from a
+    precomputed window array; larger ones gather each round's windows
+    from the payload bytes (:func:`gather_windows64`).  A corrupt cursor
+    past the end reads the all-padding window, so it cannot escape the
+    payload.
+    """
+    if payload.size <= _WINDOW_MATERIALIZE_LIMIT:
+        windows = byte_windows64(payload)
+
+        def gather(pos: np.ndarray) -> np.ndarray:
+            skew = (pos & 7).view(np.uint64)
+            window: np.ndarray = windows.take(pos >> 3, mode="clip") << skew
+            return window
+
+    else:
+        padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
+        last = payload.size
+
+        def gather(pos: np.ndarray) -> np.ndarray:
+            skew = (pos & 7).view(np.uint64)
+            byte0 = np.minimum(pos >> 3, last)
+            window: np.ndarray = gather_windows64(padded, byte0) << skew
+            return window
+
+    return gather
+
+
+def _escape(
+    esc: _TwoLevelTables | None, window: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol and length of the code each left-aligned ``window``
+    begins with, through the two-level table; raises on a codeword the
+    code does not have."""
+    if esc is None:
+        raise ValueError("corrupt Huffman stream: invalid codeword")
+    entry = esc.primary[(window >> np.uint64(64 - _PRIMARY_BITS)).view(np.int64)]
+    deep = entry < 0
+    if deep.any():
+        low = window[deep] >> np.uint64(64 - _PRIMARY_BITS - esc.sub_depth)
+        entry[deep] = esc.secondary[
+            esc.sub_base[-entry[deep] - 1]
+            + (low.view(np.int64) & ((1 << esc.sub_depth) - 1))
+        ]
+    if not entry.all():
+        raise ValueError("corrupt Huffman stream: invalid codeword")
+    return entry >> 6, entry & 63
+
+
+def _fast_rounds(
+    out: np.ndarray,
+    tables: _DecodeTables,
+    gather: Callable[[np.ndarray], np.ndarray],
+    cur: np.ndarray,
+    opos: np.ndarray,
+    oend: np.ndarray,
+) -> tuple[int, int]:
+    """Full-row rounds over the lanes with room for them; returns the
+    rounds and lookups run.
+
+    A round chains ``_CHAIN`` lookups off one gathered window per lane.
+    Each stores its lookup's whole row at the lane's output cursor
+    through a row-sized view of ``out`` at symbol stride, and the cursor
+    advances by the row's count.  A lane takes part while ``_CHAIN * k``
+    of its symbols are left, so every store stays inside its block, and
+    the next store (or a tail round) overwrites the unused slots.  A
+    lookup that decodes nothing leaves its window unmoved, so the chain
+    stalls on it: the lane's last lookup then has count 0, and one
+    two-level escape decodes the long code from a fresh window.  A
+    lane's bit cursor ``cur`` and output cursor ``opos`` are written
+    back when it leaves.
+    """
+    k = tables.k
+    reach = _CHAIN * k  # most symbols one round decodes in a lane
+    lanes = np.flatnonzero(oend - opos >= reach)
+    if not lanes.size:
+        return 0, 0
+    row = np.dtype((np.void, k * out.itemsize))
+    out_rows = np.ndarray(
+        (out.size - k + 1,), dtype=row, buffer=out, strides=(out.itemsize,)
+    )
+    sym_rows = tables.syms.view(row).reshape(-1)
+    count, total = tables.count, tables.cumbits[k - 1]
+    shift = 64 - _ROW_BITS
+    l_cur, l_opos = cur[lanes], opos[lanes]
+    l_last = oend[lanes] - reach  # a lane stays while l_opos <= l_last
+    slack = int((l_last - l_opos).min())  # lower bound of the smallest gap
+    rounds = lookups = 0
+    while lanes.size:
+        rounds += 1
+        lookups += _CHAIN * lanes.size
+        window = gather(l_cur)
+        idx = (window >> shift).view(np.int64)
+        out_rows[l_opos] = sym_rows.take(idx)
+        got = count[idx]
+        l_opos += got
+        used = total[idx]  # uint8: at most _CHAIN * 16 bits
+        for _ in range(_CHAIN - 1):
+            idx = ((window << used) >> shift).view(np.int64)
+            out_rows[l_opos] = sym_rows.take(idx)
+            got = count[idx]
+            l_opos += got
+            used += total[idx]
+        l_cur += used
+        if np.count_nonzero(got) < got.size:
+            stalled = np.flatnonzero(got == 0)
+            sym, bits = _escape(tables.escape, gather(l_cur[stalled]))
+            out[l_opos[stalled]] = sym
+            l_opos[stalled] += 1
+            l_cur[stalled] += bits
+        slack -= reach
+        if slack < 0:
+            gap = l_last - l_opos
+            slack = int(gap.min())
+            if slack < 0:
+                leave = gap < 0
+                cur[lanes[leave]] = l_cur[leave]
+                opos[lanes[leave]] = l_opos[leave]
+                keep = ~leave
+                lanes, l_cur, l_opos, l_last = (
+                    lanes[keep], l_cur[keep], l_opos[keep], l_last[keep]
+                )
+                slack = int(gap[keep].min()) if lanes.size else 0
+    return rounds, lookups
+
+
+def _tail_rounds(
+    out: np.ndarray,
+    tables: _DecodeTables,
+    gather: Callable[[np.ndarray], np.ndarray],
+    cur: np.ndarray,
+    opos: np.ndarray,
+    oend: np.ndarray,
+) -> tuple[int, int]:
+    """Clamped rounds that finish every lane: one lookup per lane,
+    storing only as many of its row's symbols as the lane has left.
+    Leaves each lane's final bit cursor in ``cur``; returns the rounds
+    and lookups run."""
+    lanes = np.flatnonzero(opos < oend)
+    l_cur, l_opos = cur[lanes], opos[lanes]
+    l_left = oend[lanes] - l_opos
+    cols = np.arange(tables.k, dtype=np.int64)
+    shift = 64 - _ROW_BITS
+    rounds = lookups = 0
+    while lanes.size:
+        rounds += 1
+        lookups += lanes.size
+        window = gather(l_cur)
+        idx = (window >> shift).view(np.int64)
+        take = np.minimum(tables.count[idx], l_left)
+        # ``take - 1`` is -1 where nothing decodes: the escape below
+        # replaces those lanes' bits.
+        bits = tables.cumbits[take - 1, idx]
+        emit = cols < take[:, None]
+        out[(l_opos[:, None] + cols)[emit]] = tables.syms[idx][emit]
+        if not take.all():
+            stalled = np.flatnonzero(take == 0)
+            sym, length = _escape(tables.escape, window[stalled])
+            out[l_opos[stalled]] = sym
+            take[stalled] = 1
+            bits[stalled] = length
+        l_cur += bits
+        l_opos += take
+        l_left -= take
+        done = l_left == 0
+        if done.any():
+            cur[lanes[done]] = l_cur[done]
+            keep = ~done
+            lanes, l_cur, l_opos, l_left = (
+                lanes[keep], l_cur[keep], l_opos[keep], l_left[keep]
+            )
+    return rounds, lookups
 
 
 @dataclass(frozen=True)
@@ -513,9 +687,7 @@ class HuffmanCodec:
     def symbol_dtype(self) -> np.dtype:
         """The narrowest of uint16/uint32 holding every symbol: what
         :meth:`decode` returns."""
-        if self.alphabet_size <= 1 << 16:
-            return np.dtype(np.uint16)
-        return np.dtype(np.uint32)
+        return _symbol_dtype(self.alphabet_size)
 
     # -- table (de)serialization ----------------------------------------
 
@@ -791,307 +963,38 @@ class HuffmanCodec:
 
         Returns :attr:`symbol_dtype` symbols: ``uint16`` when the
         alphabet fits ``2^16`` (every SZ container's does), ``uint32``
-        above that (:attr:`MAX_ALPHABET` is ``2^24``).  Both decode tiers
-        write straight into that array.
+        above that (:attr:`MAX_ALPHABET` is ``2^24``).  Each block is one
+        lane; full-row rounds (:func:`_fast_rounds`) and then clamped
+        rounds (:func:`_tail_rounds`) write straight into that array.
         """
         with span("huffman_decode", bytes=int(stream.payload.nbytes)):
             return self._decode_impl(stream)
 
     def _decode_impl(self, stream: EncodedStream) -> np.ndarray:
         tables = self._build_decode_tables()
-        if isinstance(tables, _MultiTables):
-            out, rounds, lookups = self._decode_multi(stream, tables)
-        else:
-            out, rounds, lookups = self._decode_two_level(stream, tables)
-        collector = active_collector()
-        if collector is not None and lookups:
-            collector.add("huffman/rounds", float(rounds))
-            collector.observe(
-                "huffman/symbols_per_lookup", stream.n_symbols / lookups
-            )
-        return out
-
-    def _decode_multi(
-        self, stream: EncodedStream, tables: _MultiTables
-    ) -> tuple[np.ndarray, int, int]:
-        # Each round gathers one 64-bit window per still-active block.
-        # While every block has more than ``chain * k`` symbols left
-        # (the *fast* rounds — almost all of them), the round runs
-        # ``chain`` table lookups off that single window, each offset by
-        # the previous lookup's total bit consumption: no clamping, no
-        # compaction, and the raw gathers are staged into a flat buffer
-        # instead of scattered — one bulk compaction per ~``stage_rows``
-        # rounds replaces the per-round masked scatter that otherwise
-        # dominates.  An invalid window inside a chain has ``totbits``
-        # 0, so the cursor stalls on it and the stall is caught as a
-        # zero round-consumption on the next round; its staged entries
-        # have count 0 and emit nothing, and fast-round writes cannot
-        # escape the block because ``rem > chain * k`` held on entry.
-        #
-        # Once any block is within ``chain * k`` symbols of its end the
-        # round falls back to a single clamped lookup with immediate
-        # emission (*careful* rounds), finishing blocks are compacted
-        # out, and fast rounds resume for the survivors.
         n = stream.n_symbols
         out = np.zeros(n, dtype=self.symbol_dtype)
         if n == 0:
-            return out, 0, 0
+            return out
         nblocks = stream.block_bits.size
-        starts = np.zeros(nblocks, dtype=np.int64)
-        np.cumsum(stream.block_bits[:-1].astype(np.int64), out=starts[1:])
-        end_bits = starts + stream.block_bits.astype(np.int64)
-        payload = stream.payload
-        materialize = payload.size <= _WINDOW_MATERIALIZE_LIMIT
-        if materialize:
-            windows = byte_windows64(payload)
-        else:
-            padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
-        max_byte = payload.size  # clamp: corrupt cursors must not escape
-        k = tables.k
-        chain = _SAFE_WINDOW_BITS // _FUSED_BITS
-        cap = chain * k
-        roww = 1 + k  # fused-table row: meta word + k symbol slots
-        shift = np.uint64(64 - _FUSED_BITS)
-        # Fast rounds run in plain int64: the window view reinterprets
-        # the uint64 bits (two's complement shifts produce the same bit
-        # patterns), the arithmetic right shift's sign fill is masked
-        # off, and no per-chain astype casts remain.
-        shift_i = np.int64(64 - _FUSED_BITS)
-        mask_i = np.int64((1 << _FUSED_BITS) - 1)
-        # When the fused row width is a power of two the ``idx * roww``
-        # flat-row offset folds into the shift/mask pair for free.
-        if roww & (roww - 1) == 0:
-            rsh = roww.bit_length() - 1
-            shift_r = np.int64(64 - _FUSED_BITS - rsh)
-            mask_r = np.int64(((1 << _FUSED_BITS) - 1) << rsh)
-            fold = True
-        else:
-            shift_r, mask_r = shift_i, mask_i
-            fold = False
-        cols = np.arange(k, dtype=np.int64)
-        row_cols = np.arange(roww, dtype=np.int64)
-        fused_t, cumbits_t = tables.fused, tables.cumbits
-        fused_flat = fused_t.reshape(-1)
-        # Prefix-emission LUT over whole staged rows: row t skips the
-        # meta slot and selects the first t of the k packed symbol slots
-        # (fancy-indexing it by the staged counts is cheaper than a
-        # broadcast compare at flush time).
-        emit_lut = np.zeros((k + 1, roww), dtype=bool)
-        for t in range(1, k + 1):
-            emit_lut[t, 1 : 1 + t] = True
-        cur = starts.copy()
-        rem = np.full(nblocks, stream.block_size, dtype=np.int64)
-        rem[-1] = n - stream.block_size * (nblocks - 1)
+        cur = np.zeros(nblocks, dtype=np.int64)
+        np.cumsum(stream.block_bits[:-1].astype(np.int64), out=cur[1:])
+        end_bits = cur + stream.block_bits.astype(np.int64)
         opos = np.arange(nblocks, dtype=np.int64) * stream.block_size
-        blk = np.arange(nblocks, dtype=np.int64)
-        cursors = starts.copy()
-        rounds = 0
-        lookups = 0
-        stage_buf: np.ndarray | None = None
-        staged = 0
-        base = np.zeros(0, dtype=np.int64)
-        # Fast rounds track only a scalar lower bound on the smallest
-        # per-block remainder (every round consumes at most ``cap``
-        # symbols per block); true ``rem``/``opos`` are settled at flush
-        # time from the staged counts.
-        lb = int(rem.min())
-
-        def _flush() -> None:
-            # Bulk-compact the staged fast rounds.  The staged gathers
-            # are round-major (contiguous per-round writes); one
-            # transpose copy makes them block-major, so the masked
-            # extraction preserves decode order per block and each
-            # block's symbols land in one contiguous ``out`` run
-            # starting at its position snapshot (``base``).
-            nonlocal staged, lb, rem, opos
-            if not staged:
-                return
-            assert stage_buf is not None
-            gb = np.ascontiguousarray(
-                stage_buf[:staged].transpose(1, 0, 2, 3)
-            )  # (na, R, chain, roww)
-            tk = gb[:, :, :, 0] & 0xFF  # per-lookup codeword counts
-            na_ = tk.shape[0]
-            emit = emit_lut[tk]  # (na, R, chain, roww)
-            nz = np.flatnonzero(emit)
-            vals = gb.reshape(-1)[nz]  # same linear layout as ``emit``
-            cnts = tk.sum(axis=(1, 2), dtype=np.int64)
-            offs = np.cumsum(cnts, dtype=np.int64)
-            if na_ <= 256:
-                s = 0
-                for i in range(na_):
-                    e = int(offs[i])
-                    out[base[i] : base[i] + (e - s)] = vals[s:e]
-                    s = e
-            else:
-                dest = np.repeat(base - (offs - cnts), cnts) + np.arange(
-                    vals.size, dtype=np.int64
-                )
-                out[dest] = vals.astype(out.dtype)  # cast, then scatter
-            rem -= cnts
-            opos += cnts
-            lb = int(rem.min())
-            staged = 0
-
-        while cur.size:
-            rounds += 1
-            na = cur.size
-            skew = (cur & 7).astype(np.uint64)
-            if materialize:
-                # mode="clip" is the corrupt-cursor clamp: the window
-                # array has ``payload.size + 1`` entries, so clipping
-                # lands on the same all-padding window as the explicit
-                # ``np.minimum(..., max_byte)`` bound.
-                window = np.take(windows, cur >> 3, mode="clip") << skew
-            else:
-                byte0 = np.minimum(cur >> 3, max_byte)
-                window = gather_windows64(padded, byte0) << skew
-            if lb > cap:
-                lookups += na * chain
-                if stage_buf is None:
-                    stage_rows = max(
-                        1,
-                        min(1024, _STAGE_ELEMS // max(na * chain * roww, 1)),
-                    )
-                    stage_buf = np.empty(
-                        (stage_rows, na, chain, roww), dtype=np.int32
-                    )
-                if staged == 0:
-                    # Position snapshot for the batch: careful rounds
-                    # may have advanced ``opos`` since the last flush.
-                    base = opos.copy()
-                grow = stage_buf[staged]
-                win = window.view(np.int64)
-                cum: np.ndarray | None = None
-                for c in range(chain):
-                    shifted = win if cum is None else win << cum
-                    rowoff = (shifted >> shift_r) & mask_r
-                    if not fold:
-                        rowoff = rowoff * roww
-                    # Flat 1-D gather of whole fused rows: one indexed
-                    # load per (block, chain) instead of numpy's slower
-                    # per-row 2-D gather path.
-                    g = np.take(fused_flat, rowoff[:, None] + row_cols)
-                    grow[:, c] = g
-                    if cum is None:
-                        cum = g[:, 0] >> 8
-                    else:
-                        cum += g[:, 0] >> 8
-                assert cum is not None
-                if not cum.all():
-                    raise ValueError(
-                        "corrupt Huffman stream: invalid codeword"
-                    )
-                staged += 1
-                lb -= cap
-                cur += cum
-                if staged == stage_buf.shape[0]:
-                    _flush()
-            else:
-                _flush()
-                lookups += na
-                idx = (window >> shift).astype(np.int64)
-                g = fused_t[idx]
-                take = np.minimum((g[:, 0] & 0xFF).astype(np.int64), rem)
-                if not take.all():
-                    raise ValueError(
-                        "corrupt Huffman stream: invalid codeword"
-                    )
-                emit = cols < take[:, None]
-                out[(opos[:, None] + cols)[emit]] = g[:, 1:][emit].astype(
-                    out.dtype
-                )
-                cur += cumbits_t[idx, take - 1].astype(np.int64)
-                rem -= take
-                opos += take
-                done = rem == 0
-                if done.any():
-                    cursors[blk[done]] = cur[done]
-                    keep = ~done
-                    cur, rem, opos, blk = (
-                        cur[keep], rem[keep], opos[keep], blk[keep]
-                    )
-                    # Active-set width changed: drop the staging buffer so
-                    # the next fast batch reallocates at the new width.
-                    stage_buf = None
-                lb = int(rem.min()) if rem.size else 0
-        _flush()
-        if not np.array_equal(cursors, end_bits):
+        oend = np.minimum(opos + stream.block_size, n)
+        gather = _window_gatherer(stream.payload)
+        rounds = lookups = 0
+        for phase in (_fast_rounds, _tail_rounds):
+            r, lk = phase(out, tables, gather, cur, opos, oend)
+            rounds += r
+            lookups += lk
+        if not np.array_equal(cur, end_bits):
             raise ValueError("corrupt Huffman stream: block length mismatch")
-        return out, rounds, lookups
-
-    def _decode_two_level(
-        self, stream: EncodedStream, tables: _TwoLevelTables
-    ) -> tuple[np.ndarray, int, int]:
-        # Round ``r`` decodes symbol ``r`` of every still-active block.
-        # Two standing optimizations over the textbook formulation:
-        #
-        # * the payload's 8-byte windows are materialized once
-        #   (``byte_windows64``), so each round is a gather + shift
-        #   instead of an 8-pass window rebuild;
-        # * only the *last* block can be short, so the active set is
-        #   always a prefix of the block arrays — no per-round
-        #   ``flatnonzero``.
-        n = stream.n_symbols
-        out = np.zeros(n, dtype=self.symbol_dtype)
-        if n == 0:
-            return out, 0, 0
-        primary, secondary = tables.primary, tables.secondary
-        sub_base, sub_depth = tables.sub_base, tables.sub_depth
-        max_len = max(self.max_len, 1)
-        nblocks = stream.block_bits.size
-        cursors = np.zeros(nblocks, dtype=np.int64)
-        np.cumsum(stream.block_bits[:-1].astype(np.int64), out=cursors[1:])
-        end_bits = cursors + stream.block_bits.astype(np.int64)
-        last_count = n - stream.block_size * (nblocks - 1)
-        out_starts = np.arange(nblocks, dtype=np.int64) * stream.block_size
-        payload = stream.payload
-        # Materializing every 8-byte window costs 8x the payload in RAM —
-        # a clear win for the common (tiled / mid-size) case, but a
-        # multi-hundred-MB payload must fall back to gathering the
-        # windows per round instead.
-        materialize = payload.size <= _WINDOW_MATERIALIZE_LIMIT
-        if materialize:
-            windows = byte_windows64(payload)
-        else:
-            padded = np.concatenate([payload, np.zeros(8, dtype=np.uint8)])
-        max_byte = payload.size  # clamp: corrupt cursors must not escape
-        prim_shift = np.uint64(64 - _PRIMARY_BITS)
-        rem_shift = np.uint64(64 - max_len)
-        rem_mask = (1 << sub_depth) - 1
-        rounds = 0
-        lookups = 0
-        for r in range(stream.block_size):
-            na = nblocks if r < last_count else nblocks - 1
-            if na == 0:
-                break
-            rounds += 1
-            lookups += na
-            cur = cursors[:na]
-            byte0 = np.minimum(cur >> 3, max_byte)
-            skew = (cur & 7).astype(np.uint64)
-            if materialize:
-                window = windows[byte0] << skew
-            else:
-                window = gather_windows64(padded, byte0) << skew
-            idx = (window >> prim_shift).astype(np.int64)
-            entry = primary[idx]
-            long_mask = entry < 0
-            if long_mask.any():
-                sub_idx = -entry[long_mask] - 1
-                rem = (window[long_mask] >> rem_shift).astype(
-                    np.int64
-                ) & rem_mask
-                entry[long_mask] = secondary[sub_base[sub_idx] + rem]
-            if not entry.all():
-                raise ValueError("corrupt Huffman stream: invalid codeword")
-            # Cast before the scatter: a fancy-indexed store that also
-            # casts int64 to the output dtype runs at half speed.
-            out[out_starts[:na] + r] = (entry >> 6).astype(out.dtype)
-            cur += entry & 63
-        if not np.array_equal(cursors, end_bits):
-            raise ValueError("corrupt Huffman stream: block length mismatch")
-        return out, rounds, lookups
+        collector = active_collector()
+        if collector is not None:
+            collector.add("huffman/rounds", float(rounds))
+            collector.observe("huffman/symbols_per_lookup", n / lookups)
+        return out
 
     def decode_scalar(self, stream: EncodedStream) -> np.ndarray:
         """Bit-by-bit reference decoder (slow; used to validate ``decode``)."""

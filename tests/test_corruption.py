@@ -3,8 +3,9 @@
 Covers both generations: truncation of a v1 ('SZRP') container at every
 byte boundary, truncation of a tiled v2 ('SZRT') container at every
 section boundary, tile CRC mismatches, the header fields an attacker
-(or a bad disk) can inflate into giant allocations, and the zlib
-``lossless_post`` wrapper ('SZPZ') around a v1 container.
+(or a bad disk) can inflate into giant allocations, the zlib
+``lossless_post`` wrapper ('SZPZ') around a v1 container, and seeded bit
+flips in Huffman streams checked against the scalar decoder.
 """
 
 from __future__ import annotations
@@ -411,3 +412,58 @@ class TestCodesOutsideAlphabet:
             )
             assert codes.dtype == np.uint16
         assert rejected > 0  # the sweep does reach out-of-range codes
+
+
+class TestHuffmanStreamBitFlips:
+    """Seeded differential fuzz of the Huffman decoder on its stream
+    format: 1-3 bit flips in the block index and payload of a stream
+    whose codes all fit 16 bits, and of one with 23-bit codes, which
+    escape to the two-level table.  Each corrupt stream must decode to
+    ``decode_scalar``'s output or raise ``ValueError``: never another
+    exception, nor output of the wrong length."""
+
+    @staticmethod
+    def _stream(longest: int):
+        # The chain code 1, 2, ..., longest, longest, its symbols priced
+        # by their lengths, and a longest code every 50 symbols.
+        from repro.encoding.huffman import HuffmanCodec
+
+        lengths = np.concatenate([np.arange(1, longest + 1), [longest]])
+        codec = HuffmanCodec(lengths)
+        present = np.flatnonzero(lengths)
+        p = np.exp2(-lengths.astype(np.float64))
+        rng = np.random.default_rng(longest)
+        symbols = rng.choice(present, 2000, p=p / p.sum())
+        symbols[::50] = present[-1]
+        return codec, codec.encode(symbols, block_size=128).to_bytes()
+
+    @pytest.mark.parametrize("longest", [16, 23])
+    def test_flips_decode_as_scalar_or_raise(self, longest):
+        from repro.encoding.huffman import EncodedStream
+
+        codec, blob = self._stream(longest)
+        rng = np.random.default_rng(1)
+        rejected = decoded = 0
+        for trial in range(100):
+            corrupt = bytearray(blob)
+            body_bits = np.arange(8 * 16, 8 * len(blob))  # past the header
+            for bit in rng.choice(body_bits, rng.integers(1, 4), replace=False):
+                corrupt[bit >> 3] ^= 0x80 >> (bit & 7)
+            try:
+                stream = EncodedStream.from_bytes(bytes(corrupt))
+            except (EOFError, ValueError):
+                continue  # the framing checks caught it
+            try:
+                ref = codec.decode_scalar(stream)
+            except (EOFError, ValueError):
+                ref = None
+            try:
+                got = codec.decode(stream)
+            except ValueError:
+                rejected += 1
+                continue
+            assert ref is not None, f"flip trial {trial}"
+            assert got.shape == (stream.n_symbols,)
+            np.testing.assert_array_equal(got, ref, err_msg=f"trial {trial}")
+            decoded += 1
+        assert rejected > 50

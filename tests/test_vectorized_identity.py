@@ -2,11 +2,13 @@
 
 The entropy-coding hot paths (token-list ``BitWriter``, windowed
 ``pack_varlen``/``unpack_varlen``, batch Huffman table serialization,
-vectorized ``EncodedStream`` framing) replaced scalar loops for speed.
-Speed must be the *only* thing that changed: every property test here
-pins the vectorized path to its retained scalar reference bit for bit.
-The golden-blob fixtures (tests/test_golden_blobs.py) pin the same
-contract end to end across PRs.
+vectorized ``EncodedStream`` framing, the block-parallel Huffman
+decoder) replaced scalar loops for speed.  Speed must be the *only*
+thing that changed: every property test here pins the vectorized path
+to its retained scalar reference (``ScalarBitWriter``, ``BitReader``,
+``HuffmanCodec.decode_scalar``) bit for bit.  The golden-blob fixtures
+(tests/test_golden_blobs.py) pin the same contract end to end across
+PRs.
 """
 
 from __future__ import annotations
@@ -17,18 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import huffman_symbol_streams
 
+import repro.encoding.bitio as bitio
 import repro.encoding.huffman as hf
 from repro.encoding.bitio import (
     BitReader,
     BitWriter,
     ScalarBitWriter,
-    _pack_varlen_bitplane,
-    _unpack_varlen_bitplane,
     byte_windows64,
     pack_varlen,
     unpack_varlen,
 )
 from repro.encoding.huffman import EncodedStream, HuffmanCodec
+from repro.obs import Collector
 
 # (value, width) field lists; widths cover the full scalar-writer range.
 fields_strategy = st.lists(
@@ -36,15 +38,29 @@ fields_strategy = st.lists(
     max_size=60,
 )
 
-# Mixed variable lengths in the windowed fast-path range.
+# Mixed variable lengths: up to one 8-byte window (57 bits), and up to
+# 64 bits, where the fields wider than 32 bits travel split in two.
 varlen_strategy = st.lists(st.integers(0, 57), min_size=1, max_size=200)
+wide_varlen_strategy = st.lists(st.integers(0, 64), min_size=1, max_size=200)
 
 
 def _random_values(lengths: np.ndarray, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     # Deliberately unmasked garbage in the high bits: pack_varlen must
     # store only the low `lengths[i]` bits.
-    return rng.integers(0, 2**63, lengths.size, dtype=np.uint64)
+    return rng.integers(0, 2**64, lengths.size, dtype=np.uint64)
+
+
+def _masked(values: np.ndarray, lengths: np.ndarray) -> list[int]:
+    return [int(v) & ((1 << int(w)) - 1) for v, w in zip(values, lengths)]
+
+
+def _scalar_pack(values: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The fields as the byte-at-a-time reference writer packs them."""
+    w = ScalarBitWriter()
+    for v, width in zip(_masked(values, lengths), lengths):
+        w.write(v, int(width))
+    return w.getvalue()
 
 
 class TestBitWriterIdentity:
@@ -115,72 +131,73 @@ class TestBitWriterIdentity:
 
 
 class TestPackVarlenIdentity:
-    @given(varlen_strategy, st.integers(0, 2**31))
-    @settings(max_examples=60)
-    def test_windowed_pack_matches_bitplane_reference(self, lens, seed):
+    @staticmethod
+    def _check_pack(lens: list[int], seed: int) -> None:
         lengths = np.array(lens, dtype=np.int64)
         values = _random_values(lengths, seed)
         fast, n_fast = pack_varlen(values, lengths)
-        ref, n_ref = _pack_varlen_bitplane(
-            values.astype(np.uint64),
-            lengths,
-            int(lengths.sum()),
-            max(int(lengths.max()), 1),
-        )
-        assert n_fast == n_ref
-        assert fast.tobytes() == ref.tobytes()
+        assert n_fast == int(lengths.sum())
+        assert fast.tobytes() == _scalar_pack(values, lengths)
 
     @given(varlen_strategy, st.integers(0, 2**31))
+    @settings(max_examples=60)
+    def test_window_pack_matches_scalar_writer(self, lens, seed):
+        self._check_pack(lens, seed)
+
+    @given(wide_varlen_strategy, st.integers(0, 2**31))
+    @settings(max_examples=60)
+    def test_split_wide_pack_matches_scalar_writer(self, lens, seed):
+        self._check_pack(lens, seed)
+
+    @given(wide_varlen_strategy, st.integers(0, 2**31))
     @settings(max_examples=60)
     def test_masked_hint_identical_for_clean_values(self, lens, seed):
         lengths = np.array(lens, dtype=np.int64)
         values = _random_values(lengths, seed)
-        mask = np.where(
-            lengths > 0,
-            (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1),
-            np.uint64(0),
-        )
-        clean = values & mask
+        clean = np.array(_masked(values, lengths), dtype=np.uint64)
         a, _ = pack_varlen(clean, lengths)
         b, _ = pack_varlen(clean, lengths, masked=True)
         assert a.tobytes() == b.tobytes()
 
-    @given(varlen_strategy, st.integers(0, 2**31))
+    @given(wide_varlen_strategy, st.integers(0, 2**31), st.integers(0, 20))
     @settings(max_examples=60)
-    def test_windowed_unpack_matches_reference_and_roundtrips(
-        self, lens, seed
-    ):
+    def test_unpack_matches_bit_reader_and_roundtrips(self, lens, seed, skip):
+        # The packed region starts ``skip`` bits into the buffer: unpack
+        # reads it at that offset, as BitReader does field by field.
         lengths = np.array(lens, dtype=np.int64)
         values = _random_values(lengths, seed)
-        mask = np.where(
-            lengths > 0,
-            (np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1),
-            np.uint64(0),
-        )
-        expected = values & mask
-        buf, _ = pack_varlen(values, lengths)
-        out = unpack_varlen(buf, lengths)
-        np.testing.assert_array_equal(out, expected)
-        if int(lengths.min()) != int(lengths.max()):
-            ref = _unpack_varlen_bitplane(
-                np.asarray(buf, dtype=np.uint8),
-                lengths,
-                0,
-                int(lengths.sum()),
-                int(lengths.max()),
-            )
-            np.testing.assert_array_equal(out, ref)
+        w = ScalarBitWriter()
+        w.write((1 << skip) - 1, skip)
+        for v, width in zip(_masked(values, lengths), lengths):
+            w.write(v, int(width))
+        buf = w.getvalue()
+        out = unpack_varlen(buf, lengths, bit_offset=skip)
+        reader = BitReader(buf, skip)
+        expected = [reader.read(int(width)) for width in lengths]
+        assert out.dtype == np.uint64
+        assert out.tolist() == expected == _masked(values, lengths)
+
+    @pytest.mark.parametrize("fields", [1, 7, 1 << 16])
+    def test_chunked_fields_carry_the_bit_offset(self, fields, monkeypatch):
+        # ``_PACK_FIELDS`` fields go through the windows per step; where
+        # the step edges fall, among split 64-bit and short fields,
+        # leaves no trace in the stream or in what unpacks from it.
+        monkeypatch.setattr(bitio, "_PACK_FIELDS", fields)
+        rng = np.random.default_rng(fields)
+        lengths = rng.choice(np.array([0, 1, 5, 31, 32, 33, 57, 58, 64]), 3000)
+        values = rng.integers(0, 2**64, 3000, dtype=np.uint64)
+        buf, nbits = pack_varlen(values, lengths)
+        assert nbits == int(lengths.sum())
+        assert buf.tobytes() == _scalar_pack(values, lengths)
+        assert unpack_varlen(buf, lengths).tolist() == _masked(values, lengths)
 
     def test_pack_against_scalar_writer_large(self):
         rng = np.random.default_rng(42)
-        lengths = rng.integers(0, 58, 3000)
-        values = rng.integers(0, 2**63, 3000, dtype=np.uint64)
+        lengths = rng.integers(0, 65, 3000)
+        values = rng.integers(0, 2**64, 3000, dtype=np.uint64)
         buf, nbits = pack_varlen(values, lengths)
-        w = ScalarBitWriter()
-        for v, width in zip(values, lengths):
-            w.write(int(v) & ((1 << int(width)) - 1), int(width))
-        assert nbits == w.bit_length
-        assert buf.tobytes() == w.getvalue()
+        assert nbits == int(lengths.sum())
+        assert buf.tobytes() == _scalar_pack(values, lengths)
 
 
 class TestByteWindows:
@@ -335,10 +352,11 @@ def prefix_code_lengths(draw, max_len: int = 24):
 def _reference_stream(
     codec: HuffmanCodec, symbols: np.ndarray, block_size: int
 ) -> EncodedStream:
-    """The stream the bit-plane reference packs from the same fields."""
+    """The stream the byte-at-a-time reference writer packs from the
+    same fields."""
     lens = codec.lengths[symbols]
-    payload, _ = _pack_varlen_bitplane(
-        codec.codes[symbols], lens, int(lens.sum()), int(lens.max())
+    payload = np.frombuffer(
+        _scalar_pack(codec.codes[symbols], lens), dtype=np.uint8
     )
     block_bits = np.add.reduceat(
         lens, np.arange(0, symbols.size, block_size)
@@ -363,7 +381,7 @@ class TestChunkedPackIdentity:
         st.integers(0, 2**31),
     )
     @settings(max_examples=40)
-    def test_stream_matches_bitplane_reference(
+    def test_stream_matches_scalar_writer_reference(
         self, lengths, n, chunk, block, seed
     ):
         codec = HuffmanCodec(lengths)
@@ -430,107 +448,136 @@ class TestCodeDtypes:
             np.testing.assert_array_equal(decoded, symbols)
 
 
-# The two decode-table layouts, each built straight from the length
-# table and run through its own decoder.  The fused table holds codes of
-# up to ``_FUSED_BITS`` bits; the two-level table holds any code.
-LAYOUTS = {
-    "multi": (hf._build_multi_tables, HuffmanCodec._decode_multi),
-    "two_level": (hf._build_two_level_tables, HuffmanCodec._decode_two_level),
-}
+def _code(shortest: int, longest: int) -> np.ndarray:
+    """A complete prefix code whose codes take ``shortest`` to
+    ``longest`` bits: all but one of the ``2^shortest`` codes of the
+    shortest length, and a chain from the last one down to ``longest``
+    bits."""
+    if longest == shortest:
+        return np.full(1 << shortest, shortest, dtype=np.int64)
+    return np.concatenate(
+        [
+            np.full((1 << shortest) - 1, shortest),
+            np.arange(shortest + 1, longest + 1),
+            [longest],
+        ]
+    ).astype(np.int64)
 
 
-def _decode_with_layout(
-    codec: HuffmanCodec, stream: EncodedStream, layout: str
-) -> np.ndarray:
-    build, decode = LAYOUTS[layout]
-    return decode(codec, stream, build(codec.lengths))[0]
+def _symbols(lengths: np.ndarray, n: int, block: int, seed: int) -> np.ndarray:
+    """``n`` symbols drawn as their code lengths price them, with the
+    longest codes at every block start, at every block end and three
+    back to back mid-stream."""
+    rng = np.random.default_rng(seed)
+    present = np.flatnonzero(lengths)
+    p = np.exp2(-lengths[present].astype(np.float64))
+    symbols = rng.choice(present, n, p=p / p.sum())
+    longest = present[lengths[present] == lengths.max()]
+    starts = np.arange(0, n, block)
+    symbols[starts] = longest[0]
+    symbols[np.minimum(starts + block, n) - 1] = longest[-1]
+    symbols[n // 2 : n // 2 + 3] = longest[-1]
+    return symbols
 
 
-class TestDecodeVariantIdentity:
-    """Every decode-table layout pitted against ``decode_scalar``."""
+def _check_decode(
+    codec: HuffmanCodec, symbols: np.ndarray, block: int
+) -> EncodedStream:
+    """Encode, then decode through ``decode`` (materialized windows and
+    per-round gathers alike) and ``decode_scalar``: all three must give
+    back ``symbols``."""
+    stream = codec.encode(symbols, block_size=block)
+    np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
+    got = codec.decode(stream)
+    assert got.dtype == codec.symbol_dtype
+    np.testing.assert_array_equal(got, symbols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hf, "_WINDOW_MATERIALIZE_LIMIT", 0)
+        np.testing.assert_array_equal(codec.decode(stream), symbols)
+    return stream
 
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_single_symbol_alphabet(self, layout):
+
+# (shortest, longest) code lengths.  They give the row table every
+# width k = min(8, 16 // shortest) it can take (8, 5, 4, 3, 2 and 1),
+# longest codes of 1 to 32 bits, codes that all fit the 16-bit window,
+# codes that all escape it, and alphabets above 2^16 (17-bit shortest
+# codes decode to uint32).
+CODES = [
+    (1, 1), (1, 2), (1, 8), (1, 16), (1, 17), (1, 23), (1, 32),
+    (2, 20), (3, 3), (3, 24), (4, 12), (5, 5), (5, 22), (6, 18),
+    (9, 16), (16, 16), (16, 19), (17, 17), (17, 21),
+]
+
+
+class TestDecoderIdentity:
+    """The one decoder (row table with a two-level escape) pitted
+    against ``decode_scalar``."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("shortest, longest", CODES)
+    def test_code_shape_and_block_size_matrix(self, shortest, longest, block):
+        # Whole blocks and a 3-symbol last one: lanes of 1, 3 and 7
+        # symbols start below a full-row round, 64 and 4096 run them.
+        codec = HuffmanCodec(_code(shortest, longest))
+        tables = codec._build_decode_tables()
+        assert tables.k == max(1, min(8, 16 // shortest))
+        assert (tables.escape is None) == (longest <= 16)
+        n = min(2 * block, 4096) + 3
+        _check_decode(codec, _symbols(codec.lengths, n, block, n), block)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_fewer_symbols_than_a_row(self, n):
+        codec = HuffmanCodec(_code(1, 23))
+        assert codec._build_decode_tables().k == 8
+        _check_decode(codec, _symbols(codec.lengths, n, 4096, n), 4096)
+
+    def test_single_symbol_alphabet(self):
         codec = HuffmanCodec(np.array([1], dtype=np.int64))
-        symbols = np.zeros(777, dtype=np.int64)
-        stream = codec.encode(symbols, block_size=100)
-        np.testing.assert_array_equal(
-            _decode_with_layout(codec, stream, layout), symbols
-        )
-        np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
+        _check_decode(codec, np.zeros(777, dtype=np.int64), 100)
 
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_skewed_frequencies(self, layout):
+    def test_skewed_frequencies(self):
         rng = np.random.default_rng(11)
         symbols = np.minimum(rng.geometric(0.55, 6000) - 1, 200).astype(
             np.int64
         )
         codec = HuffmanCodec.from_symbols(symbols, 201)
-        stream = codec.encode(symbols, block_size=192)
-        got = _decode_with_layout(codec, stream, layout)
-        np.testing.assert_array_equal(got, symbols)
-        np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
+        _check_decode(codec, symbols, 192)
 
-    def test_max_depth_32_codes(self):
-        # A depth-32 chain code: lengths 1..31 plus two 32s saturate the
-        # Kraft sum exactly.  max_len = 32 always routes to the
-        # two-level tables (the deep prefixes share one subtable).
-        lengths = np.concatenate(
-            [np.arange(1, 32, dtype=np.int64), [32, 32]]
-        )
-        codec = HuffmanCodec(lengths)
-        assert codec.max_len == HuffmanCodec.MAX_DECODE_LEN
-        rng = np.random.default_rng(5)
-        # Mix shallow symbols with the deepest codewords.
-        symbols = rng.choice(
-            np.array([0, 1, 2, 30, 31, 32]), size=400
-        ).astype(np.int64)
-        stream = codec.encode(symbols, block_size=37)
-        assert isinstance(codec._build_decode_tables(), hf._TwoLevelTables)
-        np.testing.assert_array_equal(codec.decode(stream), symbols)
-        np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
+    def test_long_codes_decode_in_multi_symbol_rounds(self):
+        # A quantization-code-like stream: 4,096-symbol blocks, codes of
+        # about 2 bits on average, and 23-bit codes at every block's
+        # start and end.  Decoding one symbol per lane per round took
+        # 4,096 rounds; the row table needs under an eighth of that.
+        codec = HuffmanCodec(_code(1, 23))
+        symbols = _symbols(codec.lengths, 16 * 4096, 4096, 23)
+        stream = codec.encode(symbols)
+        with Collector() as col:
+            np.testing.assert_array_equal(codec.decode(stream), symbols)
+        assert col.counters["huffman/rounds"] < 4096 / 8
+        assert col.observations["huffman/symbols_per_lookup"]["min"] > 4
 
-    @staticmethod
-    def _chain_roundtrip(depth: int) -> HuffmanCodec:
-        """Round-trip shallow and deepest symbols of the chain code
-        ``1, 2, ..., depth - 1, depth, depth`` through ``decode`` and
-        ``decode_scalar``; returns the codec."""
-        codec = HuffmanCodec(
-            np.concatenate([np.arange(1, depth), [depth, depth]])
-        )
-        symbols = np.random.default_rng(depth).choice(
-            np.array([0, 1, 2, depth - 2, depth - 1, depth]), size=400
-        )
-        stream = codec.encode(symbols, block_size=37)
-        np.testing.assert_array_equal(codec.decode(stream), symbols)
-        np.testing.assert_array_equal(codec.decode_scalar(stream), symbols)
-        return codec
+    @pytest.mark.parametrize("shortest", [1, 2, 3, 4, 5, 6, 9, 16])
+    def test_row_table_no_larger_than_the_fused_table(self, shortest):
+        # The fused table it replaced held an int32 (bits, count) word,
+        # k int32 symbols and k uint8 cumulative bits per window.
+        tables = HuffmanCodec(_code(shortest, 16))._build_decode_tables()
+        assert tables.escape is None
+        fused = (1 << 16) * (4 * (1 + tables.k) + tables.k)
+        assert hf._tables_nbytes(tables) <= fused
 
-    @pytest.mark.parametrize("depth", [17, 18, 19, 20])
-    def test_17_to_20_bit_codes_decode_two_level(self, depth):
-        # The fused table is 16 bits wide; a wider one (5.8 MB at 17
-        # bits, 46 MB at 20) is never built.
-        codec = self._chain_roundtrip(depth)
-        assert isinstance(codec._build_decode_tables(), hf._TwoLevelTables)
-
-    def test_22_bit_code_tables_under_1mb(self):
+    def test_22_bit_code_tables_under_2mb(self):
         # A table 2^22 entries wide, indexed by the whole code, would
-        # take 33.6 MB; the 13-bit primary and one subtable take 0.1 MB.
-        codec = self._chain_roundtrip(22)
-        assert hf._tables_nbytes(codec._build_decode_tables()) < 1 << 20
+        # take 33.6 MB; the 16-bit row table (k = 8) and the escape's
+        # 13-bit primary and one subtable take 1.8 MB.
+        codec = HuffmanCodec(_code(1, 22))
+        assert hf._tables_nbytes(codec._build_decode_tables()) < 2 << 20
 
     @given(case=huffman_symbol_streams())
     @settings(max_examples=40, deadline=None)
-    def test_variants_match_scalar_reference(self, case):
+    def test_decoder_matches_scalar_reference(self, case):
         symbols, alphabet, block_size = case
         codec = HuffmanCodec.from_symbols(symbols, alphabet)
-        stream = codec.encode(symbols, block_size=block_size)
-        ref = codec.decode_scalar(stream)
-        np.testing.assert_array_equal(ref, symbols)
-        fused_ok = codec.max_len <= hf._FUSED_BITS
-        for layout in sorted(LAYOUTS) if fused_ok else ["two_level"]:
-            got = _decode_with_layout(codec, stream, layout)
-            np.testing.assert_array_equal(got, ref)
+        _check_decode(codec, symbols, block_size)
 
 
 class TestDecodeScalarSeekPath:
@@ -588,8 +635,6 @@ class TestDecodeTableCache:
         assert a._build_decode_tables() is not b._build_decode_tables()
 
     def test_cache_telemetry_counters(self):
-        from repro.obs import Collector
-
         rng = np.random.default_rng(6)
         symbols = rng.integers(0, 30, 800).astype(np.int64)
         with Collector() as col:
